@@ -187,6 +187,34 @@ def solver_config(cfg: dict) -> SolverConfig:
     )
 
 
+def scan_config(cfg: dict) -> dict:
+    """The ``scan`` block with its defaults, range-checked."""
+    s = cfg.get("scan", {})
+    scan = {
+        "M": int(s.get("M", 8)),
+        "thresholds": linop.Thresholds(
+            rho1=float(s.get("rho1", 0.1)), rho2=float(s.get("rho2", 0.7)),
+            rho3=float(s.get("rho3", 0.9)), gamma_prime=s.get("gamma_prime")),
+        "num_sigma": int(s.get("num_sigma", 1601)),
+        "max_regions": int(s.get("max_regions", 64)),
+        "window": s.get("window"),
+    }
+    if scan["M"] < 2:
+        raise ValueError(f"scan.M must be >= 2, got {scan['M']}")
+    if scan["num_sigma"] < 2:
+        raise ValueError(f"scan.num_sigma must be >= 2, got {scan['num_sigma']}")
+    if scan["max_regions"] < 1:
+        raise ValueError(
+            f"scan.max_regions must be >= 1, got {scan['max_regions']}")
+    if scan["window"] is not None:
+        lo, hi = (float(x) for x in scan["window"])
+        if not lo < hi:
+            raise ValueError(f"scan.window must be [lo, hi] with lo < hi, "
+                             f"got {scan['window']}")
+        scan["window"] = (lo, hi)
+    return scan
+
+
 def load_config(path=None, preset=None) -> dict:
     if (path is None) == (preset is None):
         raise ValueError("exactly one of --config and --preset is required")
@@ -197,6 +225,7 @@ def load_config(path=None, preset=None) -> dict:
         raise ValueError(f"unsupported format_version {cfg.get('format_version')}")
     model_params(cfg)   # range checks happen at load time
     solver_config(cfg)
+    scan_config(cfg)
     return cfg
 
 
@@ -368,28 +397,20 @@ def run_solve(cfg: dict, out_dir: Path, force: bool = False,
 
 def run_lde_scan(cfg: dict, out_dir: Path) -> int:
     params = model_params(cfg)
-    scan = cfg.get("scan", {})
-    M = int(scan.get("M", 8))
-    thresholds = linop.Thresholds(
-        rho1=float(scan.get("rho1", 0.1)), rho2=float(scan.get("rho2", 0.7)),
-        rho3=float(scan.get("rho3", 0.9)),
-        gamma_prime=scan.get("gamma_prime"))
+    scan = scan_config(cfg)
     omega = spectrum.omega0(params)
     q0 = solver.initial_field(params)
     kernel = None
     if params.delta != 0.0:
         from .nonlin import linearize
         kernel = linearize(q0, params.p)
-    window = scan.get("window")
     sigma_grid = None
-    if window is not None:
-        sigma_grid = np.linspace(float(window[0]), float(window[1]),
-                                 int(scan.get("num_sigma", 1601)))
+    if scan["window"] is not None:
+        sigma_grid = np.linspace(*scan["window"], scan["num_sigma"])
     report = linop.lde_scan(
-        M, params, tuple(float(w) for w in omega), kernel,
-        sigma_grid=sigma_grid, thresholds=thresholds,
-        max_regions=int(scan.get("max_regions", 64)),
-        num_sigma=int(scan.get("num_sigma", 1601)))
+        scan["M"], params, tuple(float(w) for w in omega), kernel,
+        sigma_grid=sigma_grid, thresholds=scan["thresholds"],
+        max_regions=scan["max_regions"], num_sigma=scan["num_sigma"])
 
     summary = {
         "format_version": FORMAT_VERSION,

@@ -10,8 +10,9 @@ decay rate and pass flags against the large-deviation thresholds
 exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.  Scans over the
 spectral shift classify each grid sigma as good or bad for a subsampled
 family of translated elementary regions; bad fractions are reported against
-exp(-M^rho1).  Dense factorizations are used up to DENSE_LIMIT sites and a
-sparse direct factorization above (deterministic in both cases).
+exp(-M^rho1).  The operator is assembled either dense (``assemble``) or as
+CSR (``assemble_sparse``); which one a caller factors is the caller's
+choice (the solver's ``SolverConfig.dense_size_limit``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .lattice import RegionSpec, ResonantSet, Site, index_map
 from .nonlin import CoefficientField
 from .spectrum import ModelParams, mu
 
-DENSE_LIMIT = 5000
 SINGULARITY_RTOL = 1e-14
 DECAY_FIT_FLOOR = 1e-30
 MAX_FAMILY_REGIONS = 64
@@ -140,7 +140,7 @@ def assemble(spec: OperatorSpec) -> np.ndarray:
 
 
 def assemble_sparse(spec: OperatorSpec) -> sp.csr_matrix:
-    """CSR matrix of H(sigma); preferred above DENSE_LIMIT sites."""
+    """CSR matrix of H(sigma), with the same entries as ``assemble``."""
     idx, sites, rows, cols, vals = _assemble_entries(spec)
     n = len(sites)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
@@ -174,14 +174,26 @@ def _pair_distances(sites) -> np.ndarray:
     return np.abs(vecs[:, None, :] - vecs[None, :, :]).max(axis=-1)
 
 
-def _green_report(matrix: np.ndarray, sites, scale: float, thresholds: Thresholds,
-                  gamma: float, decay_rate: Optional[float] = None) -> GreenReport:
-    eigvals = np.linalg.eigvalsh(matrix)
-    abs_eig = np.abs(eigvals)
+def _is_singular(smallest, largest):
+    """The singular guard on min and max |eigenvalue| (elementwise on arrays):
+    the smallest is zero or below SINGULARITY_RTOL times the largest."""
+    return (smallest < SINGULARITY_RTOL * largest) | (smallest == 0.0)
+
+
+def _eig_extent(matrix: np.ndarray) -> tuple:
+    """(min, max) |eigenvalue| of a symmetric matrix; raises Singular when
+    the pair fails the singular guard."""
+    abs_eig = np.abs(np.linalg.eigvalsh(matrix))
     smallest, largest = float(abs_eig.min()), float(abs_eig.max())
-    if smallest < SINGULARITY_RTOL * largest or smallest == 0.0:
+    if _is_singular(smallest, largest):
         raise Singular(f"matrix numerically singular (min |eig| = {smallest:.3e})",
                        smallest_singular_value=smallest)
+    return smallest, largest
+
+
+def _green_report(matrix: np.ndarray, sites, scale: float, thresholds: Thresholds,
+                  gamma: float, decay_rate: Optional[float] = None) -> GreenReport:
+    smallest, largest = _eig_extent(matrix)
     green = np.linalg.inv(matrix)
     norm = 1.0 / smallest
     inv_res = float(np.abs(matrix @ green - np.eye(len(sites))).max())
@@ -241,10 +253,7 @@ def green(spec: OperatorSpec, thresholds: Thresholds = Thresholds(),
 def green_matrix(spec: OperatorSpec) -> np.ndarray:
     """The bare inverse, singular-guarded (for identities and oracles)."""
     matrix = assemble(spec)
-    eigvals = np.abs(np.linalg.eigvalsh(matrix))
-    if eigvals.min() < SINGULARITY_RTOL * eigvals.max():
-        raise Singular("matrix numerically singular",
-                       smallest_singular_value=float(eigvals.min()))
+    _eig_extent(matrix)
     return np.linalg.inv(matrix)
 
 
@@ -330,6 +339,140 @@ def default_sigma_window(M: int, params: ModelParams,
     return (-reach, reach)
 
 
+@dataclass(frozen=True)
+class _CoupledBlock:
+    """A connected block whose sites carry several k.omega.  Its diagonal
+    moves non-uniformly with sigma, so it is assembled at each sigma."""
+
+    offdiag: np.ndarray
+    mu2: np.ndarray
+    rest: np.ndarray          # kernel's phi(0, n) part of the diagonal
+    kw: np.ndarray
+    far: np.ndarray           # far-pair mask within the block
+    decay_bound: np.ndarray   # exp(-gamma' |j-j'|) on the far pairs
+
+    def at(self, sigma: float) -> np.ndarray:
+        a = self.offdiag.copy()
+        np.fill_diagonal(a, self.mu2 - (sigma + self.kw) ** 2 + self.rest)
+        return a
+
+
+@dataclass(frozen=True)
+class _ScanRegion:
+    """One family region split into the connected blocks of its
+    sigma-independent off-diagonal part.
+
+    A rigid block has a single k, so H_c(sigma) = B_c - (sigma + k.omega)^2 I
+    and the eigenpairs (zeta_l, V) of B_c give every sigma at once: the
+    eigenvalues zeta_l - s^2 and G_ij = sum_l V_il V_jl / (zeta_l - s^2).
+    """
+
+    zeta: np.ndarray          # eigenvalues of all rigid B_c
+    zeta_kw: np.ndarray       # k.omega of the block of each zeta
+    weights: np.ndarray       # (zeta, rigid far pairs i<j): V_il V_jl
+    pair_bound: np.ndarray    # decay bound of each rigid far pair
+    cross_bound: float        # min decay bound over far pairs across blocks
+    coupled: tuple
+
+    def scan(self, sigma_grid: np.ndarray, norm_bound: float) -> tuple:
+        """Per sigma: the norm 1/min|eig| (inf when singular), the mask of
+        sigmas passing the singular guard and the norm bound, and the min
+        of bound - |G| over far pairs (meaningful where the mask holds)."""
+        eig = self.zeta - (sigma_grid[:, None] + self.zeta_kw) ** 2
+        abs_eig = np.abs(eig)
+        smallest = abs_eig.min(axis=1, initial=np.inf)
+        largest = abs_eig.max(axis=1, initial=0.0)
+        for block in self.coupled:
+            for isg, sigma in enumerate(sigma_grid):
+                block_eig = np.abs(np.linalg.eigvalsh(block.at(sigma)))
+                smallest[isg] = min(smallest[isg], block_eig.min())
+                largest[isg] = max(largest[isg], block_eig.max())
+        singular = _is_singular(smallest, largest)
+        with np.errstate(divide="ignore"):
+            norm = np.where(singular, np.inf, 1.0 / smallest)
+        ok = ~singular & (norm <= norm_bound)
+
+        margin = np.full(len(sigma_grid), self.cross_bound)
+        if self.pair_bound.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = (1.0 / eig) @ self.weights
+            margin = np.minimum(margin, (self.pair_bound - np.abs(g)).min(axis=1))
+        for block in self.coupled:
+            if not block.decay_bound.size:
+                continue
+            for isg in np.flatnonzero(ok):
+                g = np.linalg.inv(block.at(sigma_grid[isg]))
+                margin[isg] = min(margin[isg], float(
+                    (block.decay_bound - np.abs(g[block.far])).min()))
+        return norm, ok, margin
+
+
+def _scan_region(region: RegionSpec, params: ModelParams, omega: Sequence[float],
+                 kernel: Optional[CoefficientField], rate_req: float,
+                 min_dist: float) -> _ScanRegion:
+    """Split one region at sigma = 0 into rigid and coupled blocks."""
+    # imported here: csgraph adds about 3 MB to every qpwave import
+    from scipy.sparse.csgraph import connected_components
+
+    base = assemble(OperatorSpec(region, 0.0, tuple(omega), params, kernel))
+    sites = region.members()
+    kw = np.array([float(np.dot(s.k, np.asarray(omega))) for s in sites])
+    mu2 = np.array([mu(s.n, params) ** 2 for s in sites])
+    offdiag = base - np.diag(np.diag(base))
+    rest = np.diag(base) - (mu2 - kw**2)
+    dists = _pair_distances(sites)
+    far = dists >= min_dist
+    np.fill_diagonal(far, False)
+    decay_bound = np.exp(-rate_req * dists)
+
+    _, labels = connected_components(sp.csr_matrix(offdiag), directed=False)
+    cross = far & (labels[:, None] != labels[None, :])
+    cross_bound = float(decay_bound[cross].min()) if cross.any() else np.inf
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+    coupled, rigid_by_size = [], {}
+    for idx in blocks:
+        if (kw[idx] == kw[idx[0]]).all():
+            rigid_by_size.setdefault(len(idx), []).append(idx)
+        else:
+            sub = np.ix_(idx, idx)
+            coupled.append(_CoupledBlock(offdiag[sub], mu2[idx], rest[idx],
+                                         kw[idx], far[sub],
+                                         decay_bound[sub][far[sub]]))
+
+    zeta, zeta_kw, rows, cols, vals, bounds = [], [], [], [], [], []
+    offset = n_pairs = 0
+    for size, group in sorted(rigid_by_size.items()):
+        idx = np.array(group)                      # (blocks, size)
+        pair = (idx[:, :, None], idx[:, None, :])
+        mats = offdiag[pair]
+        diag = np.arange(size)
+        mats[:, diag, diag] = mu2[idx] + rest[idx]
+        z, v = np.linalg.eigh(mats)
+        zeta.append(z.ravel())
+        zeta_kw.append(np.repeat(kw[idx[:, 0]], size))
+        blk, i, j = np.nonzero(np.triu(far[pair]))
+        rows.append((offset + blk[:, None] * size + diag).ravel())
+        cols.append(np.repeat(n_pairs + np.arange(len(blk)), size))
+        vals.append((v[blk, i, :] * v[blk, j, :]).ravel())
+        bounds.append(decay_bound[idx[blk, i], idx[blk, j]])
+        offset += idx.size
+        n_pairs += len(blk)
+
+    weights = np.zeros((offset, n_pairs))
+    if n_pairs:
+        weights[np.concatenate(rows), np.concatenate(cols)] = \
+            np.concatenate(vals)
+    empty = np.zeros(0)
+    return _ScanRegion(
+        zeta=np.concatenate(zeta) if zeta else empty,
+        zeta_kw=np.concatenate(zeta_kw) if zeta_kw else empty,
+        weights=weights,
+        pair_bound=np.concatenate(bounds) if bounds else empty,
+        cross_bound=cross_bound, coupled=tuple(coupled))
+
+
 def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
              kernel: Optional[CoefficientField] = None,
              sigma_grid: Optional[np.ndarray] = None,
@@ -345,6 +488,18 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     exp(-M^rho1); at desk scales the meaningful comparison is the fraction
     (the asymptotic absolute-measure bound requires scales far beyond any
     grid this tool runs).
+
+    Sigma enters H only on the diagonal, as -(sigma + k.omega)^2, so each
+    region is split once into the connected components of its off-diagonal
+    part; the inverse vanishes between components.  A component on a single
+    k (every site away from the kernel's n-support, and every site when
+    eps = delta = 0) is rigid: one eigendecomposition of its sigma = -k.omega
+    matrix gives its eigenvalues and far-pair Green's entries on the whole
+    grid.  The remaining components (those the kernel couples across k) get
+    one eigvalsh per sigma, and one inverse where the region passes the
+    norm checks and the component holds far pairs.  Per sigma and region,
+    min and max |eig| are taken over all components and feed the singular
+    guard; far pairs across components count with G = 0.
     """
     resonant = params.resonant_set()
     family = elementary_region_family(M, params.b, params.d, resonant,
@@ -360,48 +515,16 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     rate_req = thresholds.decay_rate(params.gamma, float(M))
     min_dist = float(M) ** thresholds.rho3
 
-    # precompute per-region data; sigma enters the diagonal only
-    prepared = []
-    for spec_region in family:
-        spec0 = OperatorSpec(spec_region, 0.0, tuple(omega), params, kernel)
-        base = assemble(spec0)
-        sites = spec_region.members()
-        kw = np.array([float(np.dot(s.k, np.asarray(omega))) for s in sites])
-        mu2 = np.array([mu(s.n, params) ** 2 for s in sites])
-        base_offdiag = base - np.diag(np.diag(base))
-        diag_rest = np.diag(base) - (mu2 - kw**2)  # kernel's phi(0, n) part
-        dists = _pair_distances(sites)
-        far = dists >= min_dist
-        np.fill_diagonal(far, False)
-        decay_bound = np.exp(-rate_req * dists)
-        prepared.append((base_offdiag, diag_rest, kw, mu2, far, decay_bound))
-
     n_sigma = len(sigma_grid)
     bad = np.zeros(n_sigma, dtype=bool)
     worst_norm = np.zeros(n_sigma)
     worst_decay = np.full(n_sigma, np.inf)
-    for isg, sigma in enumerate(sigma_grid):
-        for base_offdiag, diag_rest, kw, mu2, far, decay_bound in prepared:
-            a = base_offdiag.copy()
-            shift = sigma + kw
-            np.fill_diagonal(a, mu2 - shift**2 + diag_rest)
-            eig = np.abs(np.linalg.eigvalsh(a))
-            smallest, largest = eig.min(), eig.max()
-            if smallest < SINGULARITY_RTOL * largest or smallest == 0.0:
-                bad[isg] = True
-                worst_norm[isg] = np.inf
-                continue
-            norm = 1.0 / smallest
-            worst_norm[isg] = max(worst_norm[isg], norm)
-            if norm > norm_bound:
-                bad[isg] = True
-                continue
-            if far.any():
-                g = np.linalg.inv(a)
-                margin = float((decay_bound[far] - np.abs(g[far])).min())
-                worst_decay[isg] = min(worst_decay[isg], margin)
-                if margin < 0.0:
-                    bad[isg] = True
+    for region in family:
+        blocks = _scan_region(region, params, omega, kernel, rate_req, min_dist)
+        norm, ok, margin = blocks.scan(sigma_grid, norm_bound)
+        worst_norm = np.maximum(worst_norm, norm)
+        worst_decay = np.where(ok, np.minimum(worst_decay, margin), worst_decay)
+        bad |= ~ok | (margin < 0.0)
 
     frac = float(bad.mean())
     length = window[1] - window[0]

@@ -198,6 +198,20 @@ class TestLdeScan:
         assert report["window"] == [-2.0, 2.0]
         assert report["sigma_points"] == 101
 
+    @pytest.mark.parametrize("field, value", [
+        ("M", 1), ("num_sigma", 0), ("max_regions", 0),
+        ("window", [2.0, -2.0]),
+    ])
+    def test_out_of_range_scan_block_is_bad_config(self, workdir, field,
+                                                    value):
+        cfg = cli.preset_config("scan-demo")
+        cfg["scan"][field] = value
+        path = workdir / "scan.txt"
+        cli.write_file(path, cfg)
+        assert run(["lde-scan", "--config", path, "--out", workdir]) == \
+            cli.EXIT_BAD_CONFIG
+        assert not (workdir / "lde_scan.txt").exists()
+
 
 class TestOracleCompare:
     def test_compare_command(self, workdir):

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpwave import (AsymmetricKernel, CoefficientField, OperatorSpec, Singular,
                     Thresholds, assemble, assemble_sparse, block_spectral_bound,
@@ -13,6 +16,7 @@ from qpwave.linop import (default_sigma_window, diagonal_bad_intervals,
 from qpwave.solver import initial_field
 
 from conftest import golden_params
+from lde_reference import reference_lde_scan
 
 
 def op_spec(params, region=None, sigma=0.37, kernel=None, omega=None):
@@ -216,6 +220,38 @@ class TestLdeScan:
         slack = 2.0 / 601
         assert fractions[1] <= fractions[0] + slack
         assert fractions[2] <= fractions[1] + slack
+
+    @settings(max_examples=12, deadline=None)
+    @given(theta0=st.floats(0.0, 1.0), m=st.floats(2.0, 3.0),
+           shape=st.sampled_from([(1, 1, 4), (1, 1, 6), (1, 2, 4),
+                                  (2, 1, 4)]),
+           # (0.3, 0): every block is rigid, and its far-pair Green's
+           # entries are large enough to set the decay margin
+           couplings=st.sampled_from([(0.0, 0.0), (1e-3, 1e-3), (0.3, 0.0)]))
+    def test_block_scan_matches_full_matrix_reference(self, theta0, m, shape,
+                                                      couplings):
+        b, d, M = shape
+        eps, delta = couplings
+        p = dataclasses.replace(golden_params(b=b, d=d, eps=eps, delta=delta),
+                                theta0=theta0, m=m)
+        om = tuple(float(w) for w in omega0(p))
+        kernel = linearize(initial_field(p), p.p) if delta else None
+        report = lde_scan(M, p, om, kernel=kernel, num_sigma=21)
+        bad, worst_norm, worst_decay = reference_lde_scan(
+            M, p, om, kernel, report.sigma_grid)
+        np.testing.assert_array_equal(report.bad_flags, bad)
+        got = report.worst_norm
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(worst_norm))
+        finite = np.isfinite(worst_norm)
+        # 1e-9 relative on the norm; past norm 1e4 (far above the norm
+        # bound) the min |eig| is compared to 1e-13 absolute instead, the
+        # rounding level of a symmetric eigensolver at these matrix norms
+        np.testing.assert_allclose(1.0 / got[finite], 1.0 / worst_norm[finite],
+                                   rtol=1e-9, atol=1e-13)
+        np.testing.assert_array_equal(np.isinf(report.worst_decay_margin),
+                                      np.isinf(worst_decay))
+        np.testing.assert_allclose(report.worst_decay_margin, worst_decay,
+                                   rtol=0.0, atol=1e-12)
 
     def test_family_is_subsampled_and_deduplicated(self):
         fam = elementary_region_family(6, 1, 1, None, max_regions=64)
