@@ -30,6 +30,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -215,6 +216,29 @@ def scan_config(cfg: dict) -> dict:
     return scan
 
 
+def cert_config(cfg: dict) -> dict:
+    """The ``cert`` block with its defaults, range-checked."""
+    c = cfg.get("cert", {})
+    cert = {
+        "L": int(c.get("L", 5)),
+        "c_star": float(c.get("c_star", 0.008)),
+        "eta": float(c.get("eta", 1e-3)),
+        "m_grid_points": int(c.get("m_grid_points", 2001)),
+        "sigma_grid_points": int(c.get("sigma_grid_points", 4001)),
+        "transversality_m_points": int(c.get("transversality_m_points", 201)),
+    }
+    if cert["L"] < 1:
+        raise ValueError(f"cert.L must be >= 1, got {cert['L']}")
+    if not 0.0 < cert["c_star"] < 1.0:
+        raise ValueError(f"cert.c_star must lie in (0, 1), got {cert['c_star']}")
+    if not cert["eta"] > 0.0:
+        raise ValueError(f"cert.eta must be > 0, got {cert['eta']}")
+    for name in ("m_grid_points", "sigma_grid_points", "transversality_m_points"):
+        if cert[name] < 1:
+            raise ValueError(f"cert.{name} must be >= 1, got {cert[name]}")
+    return cert
+
+
 def load_config(path=None, preset=None) -> dict:
     if (path is None) == (preset is None):
         raise ValueError("exactly one of --config and --preset is required")
@@ -225,6 +249,7 @@ def load_config(path=None, preset=None) -> dict:
         raise ValueError(f"unsupported format_version {cfg.get('format_version')}")
     model_params(cfg)   # range checks happen at load time
     solver_config(cfg)
+    cert_config(cfg)
     scan_config(cfg)
     return cfg
 
@@ -268,13 +293,11 @@ def field_from_records(records, b: int, d: int) -> CoefficientField:
 
 def run_certify(cfg: dict, out_dir: Path) -> int:
     params = model_params(cfg)
-    cert = cfg.get("cert", {})
-    L = int(cert.get("L", 5))
-    c_star = float(cert.get("c_star", 0.008))
-    eta = float(cert.get("eta", 1e-3))
-    m_points = int(cert.get("m_grid_points", 2001))
-    s_points = int(cert.get("sigma_grid_points", 4001))
-    t_points = int(cert.get("transversality_m_points", 201))
+    cert = cert_config(cfg)
+    L, c_star, eta = cert["L"], cert["c_star"], cert["eta"]
+    m_points = cert["m_grid_points"]
+    s_points = cert["sigma_grid_points"]
+    t_points = cert["transversality_m_points"]
 
     bundle = {"format_version": FORMAT_VERSION, "config": cfg,
               "certificates": {}, "gates": {}}
@@ -380,19 +403,32 @@ def run_solve(cfg: dict, out_dir: Path, force: bool = False,
     print(f"converged: {sol.converged}; final residual "
           f"{sol.quality['final_residual_l2']:.3e}; "
           f"tail {sol.quality['weighted_tail']:.3e}")
+    if not sol.converged:
+        print(f"error: non-convergence: residual floor not reached in "
+              f"r_max = {config.r_max} stages", file=sys.stderr)
+        return EXIT_NON_CONVERGENCE
     if with_oracle:
         box = min(8, config.M ** max(1, min(2, config.r_max)))
-        oracle = solver.brute_force_oracle(params, box)
-        comp = solver.compare_with_oracle(sol, oracle, box)
-        write_file(out_dir / "oracle_compare.txt", {
-            "format_version": FORMAT_VERSION, "config": cfg, "box": box,
-            "sup_discrepancy": comp["sup_discrepancy"],
-            "omega_discrepancy": comp["omega_discrepancy"],
-            "oracle_final_residual": oracle.final_residual,
-        })
+        comp = _write_oracle_compare(cfg, out_dir, params, sol, box)
         print(f"oracle discrepancy {comp['sup_discrepancy']:.3e} "
               f"-> {out_dir / 'oracle_compare.txt'}")
     return EXIT_OK
+
+
+def _write_oracle_compare(cfg: dict, out_dir: Path, params: ModelParams,
+                          solution, box: int) -> dict:
+    """Run the dense oracle on the cube of radius ``box``, compare it with
+    ``solution`` (anything with ``.q`` and ``.omega``) and write
+    oracle_compare.txt; returns the comparison."""
+    oracle = solver.brute_force_oracle(params, box)
+    comp = solver.compare_with_oracle(solution, oracle, box)
+    write_file(out_dir / "oracle_compare.txt", {
+        "format_version": FORMAT_VERSION, "config": cfg, "box": box,
+        "sup_discrepancy": comp["sup_discrepancy"],
+        "omega_discrepancy": comp["omega_discrepancy"],
+        "oracle_final_residual": oracle.final_residual,
+    })
+    return comp
 
 
 def run_lde_scan(cfg: dict, out_dir: Path) -> int:
@@ -474,25 +510,15 @@ def run_oracle_compare(cfg: dict, out_dir: Path, solution_path: Path,
     try:
         obj = read_file(solution_path)
         params = model_params(cfg)
-        qf = field_from_records(obj["records"], params.b, params.d)
+        solution = SimpleNamespace(
+            q=field_from_records(obj["records"], params.b, params.d),
+            omega=tuple(float(w) for w in obj["omega"]))
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: malformed solution file: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    oracle = solver.brute_force_oracle(params, box)
-    worst = 0.0
-    keys = {(tuple(k), tuple(n)) for k, n, _ in qf.canonical_items()}
-    keys |= {(tuple(k), tuple(n)) for k, n, _ in oracle.q.canonical_items()}
-    for k, n in keys:
-        if max((abs(x) for x in k + n), default=0) > box:
-            continue
-        worst = max(worst, abs(qf.get(k, n) - oracle.q.get(k, n)))
-    omega_diff = max(abs(a - b) for a, b in zip(obj["omega"], oracle.omega))
-    write_file(out_dir / "oracle_compare.txt", {
-        "format_version": FORMAT_VERSION, "config": cfg, "box": box,
-        "sup_discrepancy": worst, "omega_discrepancy": omega_diff,
-        "oracle_final_residual": oracle.final_residual,
-    })
-    print(f"sup discrepancy {worst:.3e}, omega discrepancy {omega_diff:.3e}")
+    comp = _write_oracle_compare(cfg, out_dir, params, solution, box)
+    print(f"sup discrepancy {comp['sup_discrepancy']:.3e}, "
+          f"omega discrepancy {comp['omega_discrepancy']:.3e}")
     return EXIT_OK
 
 

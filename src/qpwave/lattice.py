@@ -3,21 +3,44 @@
 Sites pair a frequency multi-index k (length b) with a space site n
 (length d).  Regions are rectangles minus a translated copy of themselves
 (the box shape used in multiscale analysis), optionally with the resonant
-set removed.  All values here are immutable and safe to share across
-workers; member enumeration is lexicographic so downstream matrix assembly
-is deterministic.
+set removed.  This module owns the lattice geometry the other modules use:
+box enumeration as integer arrays (``box_vectors``), region membership
+(``RegionSpec.members``) and the l1 neighbour offsets of the discrete
+Laplacian (``neighbor_offsets``).  Region values are immutable; members come
+in lexicographic order, so downstream matrix assembly is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import EmptyRegion, InvalidAnchors, OutOfRegion
 
-# Regions up to this many sites keep a materialized sorted member list;
-# larger ones still answer membership queries through the predicate.
+# Regions whose bounding box holds more candidate sites than this are
+# refused: members() materializes every candidate as an array row first.
 MATERIALIZE_LIMIT = 10**7
+
+
+def box_vectors(center: Sequence[int], half_widths: Sequence[int]) -> np.ndarray:
+    """Every integer vector v with |v_i - center_i| <= half_widths_i, as rows
+    of an int array in lexicographic order."""
+    shape = tuple(2 * w + 1 for w in half_widths)
+    # row-major like the meshgrid stacks it replaces, so that products with
+    # the rows see the same memory layout
+    grid = np.ascontiguousarray(np.indices(shape).reshape(len(shape), -1).T)
+    return grid + (np.asarray(center) - np.asarray(half_widths))
+
+
+def neighbor_offsets(d: int) -> list:
+    """The 2d unit vectors +-e_j of Z^d, axis by axis, minus before plus."""
+    out = []
+    for j in range(d):
+        for s in (-1, 1):
+            out.append(tuple(s if i == j else 0 for i in range(d)))
+    return out
 
 
 class Site(NamedTuple):
@@ -96,9 +119,6 @@ class ResonantSet:
     def __contains__(self, site: Site) -> bool:
         return Site(tuple(site[0]), tuple(site[1])) in self.members
 
-    def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members, key=lambda s: s.vector))
-
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -123,47 +143,8 @@ class RegionSpec:
         if any(w < 0 for w in self.half_widths):
             raise ValueError("half_widths must be nonnegative")
 
-    # -- membership predicate -------------------------------------------------
-
-    def _in_base(self, vec: tuple) -> bool:
-        c = self.base_center.vector
-        return all(abs(vec[i] - c[i]) <= self.half_widths[i]
-                   for i in range(len(vec)))
-
-    def contains(self, site: Site) -> bool:
-        vec = tuple(site[0]) + tuple(site[1])
-        if not self._in_base(vec):
-            return False
-        if any(self.shift):
-            shifted_back = tuple(vec[i] - self.shift[i] for i in range(len(vec)))
-            if self._in_base(shifted_back):
-                return False
-        if self.excluded is not None and Site(tuple(site[0]), tuple(site[1])) in self.excluded:
-            return False
-        return True
-
-    __contains__ = contains
-
-    # -- enumeration ----------------------------------------------------------
-
-    def _iter_members(self) -> Iterator[Site]:
-        c = self.base_center.vector
-        w = self.half_widths
-        ranges = [range(c[i] - w[i], c[i] + w[i] + 1) for i in range(len(c))]
-
-        def rec(i, prefix):
-            if i == len(ranges):
-                site = Site(prefix[:self.b], prefix[self.b:])
-                if self.contains(site):
-                    yield site
-                return
-            for v in ranges[i]:
-                yield from rec(i + 1, prefix + (v,))
-
-        yield from rec(0, ())
-
     def members(self) -> tuple:
-        """Sorted member sites (lexicographic on the concatenated vector)."""
+        """Member sites, lexicographic on the concatenated vector."""
         cached = getattr(self, "_members_cache", None)
         if cached is None:
             bound = 1
@@ -173,7 +154,17 @@ class RegionSpec:
                 raise MemoryError(
                     f"region with {bound} candidate sites exceeds the "
                     f"materialization limit {MATERIALIZE_LIMIT}")
-            cached = tuple(sorted(self._iter_members(), key=lambda s: s.vector))
+            center = np.asarray(self.base_center.vector)
+            widths = np.asarray(self.half_widths)
+            vecs = box_vectors(center, widths)
+            if any(self.shift):
+                back = vecs - np.asarray(self.shift) - center
+                vecs = vecs[(np.abs(back) > widths).any(axis=1)]
+            sites = [Site(tuple(v[:self.b]), tuple(v[self.b:]))
+                     for v in vecs.tolist()]
+            if self.excluded is not None:
+                sites = [s for s in sites if s not in self.excluded.members]
+            cached = tuple(sites)
             object.__setattr__(self, "_members_cache", cached)
         return cached
 

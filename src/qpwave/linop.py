@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AsymmetricKernel, ComplementSingular, Singular
-from .lattice import RegionSpec, ResonantSet, Site, index_map
+from .lattice import (RegionSpec, ResonantSet, Site, box_vectors, index_map,
+                      neighbor_offsets)
 from .nonlin import CoefficientField
 from .spectrum import ModelParams, mu
 
@@ -101,11 +102,7 @@ def _assemble_entries(spec: OperatorSpec):
             mu2_cache[n] = mu(n, params) ** 2
         return mu2_cache[n]
 
-    offs = []
-    for j in range(params.d):
-        for s in (-1, 1):
-            offs.append(tuple(s if i == j else 0 for i in range(params.d)))
-
+    offs = neighbor_offsets(params.d)
     for i, site in enumerate(sites):
         k, n = site.k, site.n
         shift = spec.sigma + float(np.dot(k, omega))
@@ -660,6 +657,22 @@ def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
     )
 
 
+def _space_block(space_sites: Sequence, params: ModelParams,
+                 diagonal) -> np.ndarray:
+    """diag(diagonal(n)) + eps*Delta on a list of space sites, dense."""
+    sites = [tuple(int(x) for x in n) for n in space_sites]
+    pos = {s: i for i, s in enumerate(sites)}
+    out = np.zeros((len(sites), len(sites)))
+    offs = neighbor_offsets(params.d)
+    for s, i in pos.items():
+        out[i, i] = diagonal(s)
+        for off in offs:
+            j = pos.get(tuple(x + o for x, o in zip(s, off)))
+            if j is not None:
+                out[i, j] += params.eps
+    return out
+
+
 @dataclass(frozen=True)
 class BlockSpectralReport:
     eigenvalues: np.ndarray      # zeta_l of the fixed-k space block
@@ -679,19 +692,8 @@ def block_spectral_bound(k: Sequence[int], space_sites: Sequence,
     max_l |sigma + k.omega - sqrt(zeta_l)|^-1 |sigma + k.omega + sqrt(zeta_l)|^-1
     for positive zeta_l.  Cross-checked against direct inversion.
     """
-    sites = [tuple(int(x) for x in n) for n in space_sites]
-    nn = len(sites)
-    pos = {s: i for i, s in enumerate(sites)}
-    block = np.zeros((nn, nn))
-    for s, i in pos.items():
-        block[i, i] = mu(s, params) ** 2
-        for j_axis in range(params.d):
-            for sgn in (-1, 1):
-                nb = tuple(x + (sgn if a == j_axis else 0)
-                           for a, x in enumerate(s))
-                j = pos.get(nb)
-                if j is not None:
-                    block[i, j] += params.eps
+    block = _space_block(space_sites, params, lambda n: mu(n, params) ** 2)
+    nn = len(block)
     zetas = np.linalg.eigvalsh(block)
     shift = float(sigma + np.dot(k, np.asarray(omega, dtype=float)))
     gaps = np.abs(zetas - shift**2)
@@ -718,21 +720,13 @@ def qp_schrodinger_matrix(space_sites: Sequence, energy: float, theta: float,
     ``theta`` follows the package convention: supplied in [0,1], scaled by
     2*pi internally.
     """
-    sites = [tuple(int(x) for x in n) for n in space_sites]
-    pos = {s: i for i, s in enumerate(sites)}
-    nn = len(sites)
     alpha = np.asarray(params.alpha)
-    out = np.zeros((nn, nn))
-    for s, i in pos.items():
-        phase = 2.0 * math.pi * (float(np.dot(s, alpha)) + theta)
-        out[i, i] = math.cos(phase) + params.m - energy
-        for axis in range(params.d):
-            for sgn in (-1, 1):
-                nb = tuple(x + (sgn if a == axis else 0) for a, x in enumerate(s))
-                j = pos.get(nb)
-                if j is not None:
-                    out[i, j] += params.eps
-    return out
+
+    def diagonal(n):
+        phase = 2.0 * math.pi * (float(np.dot(n, alpha)) + theta)
+        return math.cos(phase) + params.m - energy
+
+    return _space_block(space_sites, params, diagonal)
 
 
 def qp_schrodinger_green(space_region: Union[RegionSpec, Sequence], energy: float,
@@ -788,11 +782,7 @@ def qp_schrodinger_theta_scan(N: int, energy: float, params: ModelParams,
 
     rho4 is a free report parameter: the comparison value is exp(-N^rho4).
     """
-    half = N // 2
-    sites = [(x,) for x in range(-half, half + 1)] if params.d == 1 else \
-        [tuple(v) for v in np.stack(np.meshgrid(
-            *([np.arange(-half, half + 1)] * params.d), indexing="ij"),
-            axis=-1).reshape(-1, params.d)]
+    sites = box_vectors((0,) * params.d, (N // 2,) * params.d).tolist()
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     bad = 0
     for theta in theta_grid:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import ResonantSet, Site, canonical_k
+from .lattice import ResonantSet, Site, canonical_k, neighbor_offsets
 from .spectrum import ModelParams, mu
 
 CONVOLUTION_DROP = 1e-16  # relative to the result's sup norm
@@ -199,26 +199,6 @@ def convolve_power(q: CoefficientField, order: int) -> CoefficientField:
     return out
 
 
-def _neighbor_offsets(d: int) -> list:
-    out = []
-    for j in range(d):
-        for s in (-1, 1):
-            out.append(tuple(s if i == j else 0 for i in range(d)))
-    return out
-
-
-def laplacian(q: CoefficientField) -> CoefficientField:
-    """(Delta q)(k, n) = sum of q(k, n') over l1-neighbors n' of n."""
-    data: Dict[tuple, float] = {}
-    offs = _neighbor_offsets(q.d)
-    for (k, n), v in q._data.items():
-        for off in offs:
-            key = (k, tuple(x + o for x, o in zip(n, off)))
-            data[key] = data.get(key, 0.0) + v
-    return CoefficientField({k: v for k, v in data.items() if v != 0.0},
-                            q.b, q.d, _trusted=True)
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """The residual field F(q) with its norms and support bound."""
@@ -252,7 +232,7 @@ def residual(q: CoefficientField, omega: Sequence[float],
             mu_cache[n] = mu(n, params) ** 2
         return mu_cache[n]
 
-    offs = _neighbor_offsets(q.d)
+    offs = neighbor_offsets(q.d)
     for (k, n), v in q._data.items():
         kw = float(np.dot(k, omega))
         add(k, n, (mu2(n) - kw * kw) * v)
@@ -297,7 +277,7 @@ def pde_residual(q: CoefficientField, omega: Sequence[float],
     transform of F(q) and is bounded by its l1 norm.
     """
     omega = np.asarray(omega, dtype=float)
-    offs = _neighbor_offsets(q.d)
+    offs = neighbor_offsets(q.d)
     slices: Dict[tuple, list] = {}
     for (k, n), v in q._data.items():
         kw = float(np.dot(k, omega))

@@ -28,7 +28,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
                      OracleDiverged, PreconditionFailed, ResonantBox)
-from .lattice import ResonantSet, Site, canonical_k, cube, index_map, unit_k
+from .lattice import (ResonantSet, Site, canonical_k, cube, index_map,
+                      neighbor_offsets, unit_k)
 from .linop import OperatorSpec, assemble, assemble_sparse
 from .nonlin import (CoefficientField, ResidualReport, convolve_power,
                      linearize, pde_residual, residual, weighted_tail_norm)
@@ -130,11 +131,8 @@ def _q_equation_rhs(q: CoefficientField, params: ModelParams) -> np.ndarray:
         e = unit_k(l, params.b)
         lap = 0.0
         if params.eps != 0.0:
-            for axis in range(params.d):
-                for sgn in (-1, 1):
-                    nb = tuple(x + (sgn if i == axis else 0)
-                               for i, x in enumerate(n))
-                    lap += q.get(e, nb)
+            for off in neighbor_offsets(params.d):
+                lap += q.get(e, tuple(x + o for x, o in zip(n, off)))
         val = params.eps * (2.0 / a) * lap
         if power is not None:
             val += params.delta * (2.0 / a) * power.get(e, n)
@@ -452,10 +450,7 @@ def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
             out[n_unknowns + j] = ff.get(e, n)
         return out
 
-    offsets = []
-    for axis in range(params.d):
-        for sgn in (-1, 1):
-            offsets.append(tuple(sgn if i == axis else 0 for i in range(params.d)))
+    offsets = neighbor_offsets(params.d)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         qf = field_of(x)

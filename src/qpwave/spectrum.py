@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (InsufficientResolution, InvalidAnchors, NotApplicable,
                      PreconditionFailed)
-from .lattice import ResonantSet, Site, unit_k
+from .lattice import ResonantSet, Site, box_vectors, unit_k
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,8 +167,7 @@ class Certificate:
 
 def _enumerate_nonzero(limit: int, dim: int):
     """All integer vectors 0 < |v| <= limit (sup norm), as an array."""
-    grids = np.meshgrid(*([np.arange(-limit, limit + 1)] * dim), indexing="ij")
-    vecs = np.stack([g.ravel() for g in grids], axis=-1)
+    vecs = box_vectors((0,) * dim, (limit,) * dim)
     keep = np.abs(vecs).max(axis=1) > 0
     return vecs[keep]
 
@@ -567,15 +566,6 @@ class AdmissibleMScan:
     certificate: Certificate
 
 
-def _space_sites_within(L: int, d: int) -> np.ndarray:
-    grids = np.meshgrid(*([np.arange(-L, L + 1)] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def _k_vectors_within(limit: int, b: int) -> np.ndarray:
-    return _enumerate_nonzero(limit, b)
-
-
 def admissible_m_scan(params: ModelParams, L: int, eta: float,
                       m_grid) -> AdmissibleMScan:
     """Scan an m grid for the non-resonance conditions at scale (L, eta).
@@ -603,7 +593,7 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
 
     m_grid = np.atleast_1d(np.asarray(m_grid, dtype=float))
     nm = len(m_grid)
-    space = _space_sites_within(L, params.d)          # (Ns, d)
+    space = box_vectors((0,) * params.d, (L,) * params.d)  # (Ns, d)
     mus = _mu_array(space.astype(float), params, m_grid)  # (Ns, nm)
     anchor_rows = [int(np.where((space == np.asarray(a)).all(axis=1))[0][0])
                    for a in params.anchors]
@@ -624,7 +614,7 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     ok &= cond1
 
     # (2) harmonics
-    kvecs = _k_vectors_within(2 * L, params.b)        # (Nk2, b)
+    kvecs = _enumerate_nonzero(2 * L, params.b)       # (Nk2, b)
     komega = kvecs.astype(float) @ om                 # (Nk2, nm)
     cond2 = (np.abs(komega) > eta).all(axis=0)
     fails["harmonic"] = float(1.0 - cond2.mean())
@@ -632,7 +622,7 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
 
     # (3) shifted, over the cube of radius L minus the resonant set
     kcube = np.vstack([np.zeros((1, params.b), dtype=int),
-                       _k_vectors_within(L, params.b)])
+                       _enumerate_nonzero(L, params.b)])
     resonant = params.resonant_set()
     cond3 = np.ones(nm, dtype=bool)
     for ik, kv in enumerate(kcube):
@@ -700,27 +690,17 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
 
 def cluster_count(sigma: float, params: ModelParams, L: int, eta: float) -> int:
     """Max over the sign xi of #{(k,n), |(k,n)|<=L : |xi(sigma+k.w0)+mu_n| < eta/2}."""
-    space = _space_sites_within(L, params.d)
-    mus = _mu_array(space.astype(float), params, np.array([params.m]))[:, 0]
-    om = omega0(params)
-    kcube = np.vstack([np.zeros((1, params.b), dtype=int),
-                       _k_vectors_within(L, params.b)])
-    kw = kcube.astype(float) @ om                      # (Nk,)
-    worst = 0
-    for xi in (1.0, -1.0):
-        vals = np.abs(xi * (sigma + kw)[:, None] + mus[None, :])
-        worst = max(worst, int(np.count_nonzero(vals < eta / 2.0)))
-    return worst
+    return cluster_scan(params, L, eta, [sigma])[0]
 
 
 def cluster_scan(params: ModelParams, L: int, eta: float, sigma_grid) -> tuple:
     """(max cluster count over the grid, argmax sigma); vectorized scan."""
     sigma_grid = np.atleast_1d(np.asarray(sigma_grid, dtype=float))
-    space = _space_sites_within(L, params.d)
+    space = box_vectors((0,) * params.d, (L,) * params.d)
     mus = _mu_array(space.astype(float), params, np.array([params.m]))[:, 0]
     om = omega0(params)
     kcube = np.vstack([np.zeros((1, params.b), dtype=int),
-                       _k_vectors_within(L, params.b)])
+                       _enumerate_nonzero(L, params.b)])
     kw = kcube.astype(float) @ om
     best = (0, float(sigma_grid[0]))
     for xi in (1.0, -1.0):

@@ -54,6 +54,20 @@ class TestConfig:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("field, value", [
+        ("L", 0), ("c_star", 1.0), ("eta", 0.0), ("m_grid_points", 0),
+        ("sigma_grid_points", 0), ("transversality_m_points", 0),
+    ])
+    def test_out_of_range_cert_block_is_bad_config(self, workdir, field,
+                                                   value):
+        cfg = cli.default_config()
+        cfg["cert"][field] = value
+        path = workdir / "cert.txt"
+        cli.write_file(path, cfg)
+        assert run(["certify", "--config", path, "--out", workdir]) == \
+            cli.EXIT_BAD_CONFIG
+        assert not (workdir / "certificates.txt").exists()
+
     def test_golden_preset_passes(self, workdir, capsys):
         code = run(["certify", "--preset", "small-coupling", "--out", workdir])
         assert code == cli.EXIT_OK
@@ -133,6 +147,18 @@ class TestSolve:
         cli.write_file(path, cfg)
         code = run(["solve", "--config", path, "--out", workdir, "--force"])
         assert code == cli.EXIT_RESONANT_BOX
+
+    def test_out_of_stages_exit_code(self, workdir):
+        cfg = cli.preset_config("small-coupling")
+        cfg["solver"]["r_max"] = 1
+        path = workdir / "short.txt"
+        cli.write_file(path, cfg)
+        code = run(["solve", "--config", path, "--out", workdir, "--force",
+                    "--oracle"])
+        assert code == cli.EXIT_NON_CONVERGENCE
+        assert (workdir / "trace.txt").exists()
+        assert cli.read_file(workdir / "solution.txt")["converged"] is False
+        assert not (workdir / "oracle_compare.txt").exists()
 
     def test_non_convergence_exit_code(self, workdir):
         cfg = cli.default_config()

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from qpwave import (EmptyRegion, InvalidAnchors, OutOfRegion, RegionSpec,
                     ResonantSet, Site, cube, index_map, region_members)
-from qpwave.lattice import canonical_k, sup_distance
+from qpwave.lattice import canonical_k, neighbor_offsets, sup_distance
 
 
 def brute_force_members(center, w, z, b, d, excluded=None):
@@ -46,6 +46,10 @@ class TestSite:
 
     def test_sup_distance(self):
         assert sup_distance(Site((0,), (0,)), Site((2,), (-1,))) == 2
+
+    def test_neighbor_offsets_axis_then_sign(self):
+        assert neighbor_offsets(1) == [(-1,), (1,)]
+        assert neighbor_offsets(2) == [(-1, 0), (1, 0), (0, -1), (0, 1)]
 
 
 class TestResonantSet:
@@ -159,21 +163,25 @@ class TestIndexMap:
     w=st.lists(st.integers(0, 2), min_size=4, max_size=4),
     z=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
     use_excluded=st.booleans(),
+    ck=st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+    cn=st.lists(st.integers(-20, 20), min_size=2, max_size=2),
 )
-def test_region_invariants(b, d, w, z, use_excluded):
+def test_region_invariants(b, d, w, z, use_excluded, ck, cn):
+    # centres reach the +-M, +-2M space translations of the LDE families
     dim = b + d
     w, z = tuple(w[:dim]), tuple(z[:dim])
     excluded = ResonantSet(anchors=tuple((l,) * d for l in range(b)), b=b, d=d) \
         if use_excluded else None
-    center = Site((0,) * b, (0,) * d)
+    center = Site(tuple(ck[:b]), tuple(cn[:d]))
     spec = RegionSpec(center, w, z, b, d, excluded)
     mem = spec.members()
     expected = brute_force_members(center, w, z, b, d, excluded)
     assert list(mem) == expected
     for site in mem:
-        assert all(abs(v) <= wi for v, wi in zip(site.vector, w))
+        rel = tuple(v - c for v, c in zip(site.vector, center.vector))
+        assert all(abs(v) <= wi for v, wi in zip(rel, w))
         if any(z):
-            back = tuple(v - zi for v, zi in zip(site.vector, z))
+            back = tuple(v - zi for v, zi in zip(rel, z))
             assert not all(abs(v) <= wi for v, wi in zip(back, w))
         if excluded is not None:
             assert site not in excluded
