@@ -5,8 +5,9 @@ diagnostics and a staged constructive solver."""
 from .errors import (AsymmetricKernel, ComplementSingular, EmptyRegion,
                      FrequencyCollapse, InsufficientData,
                      InsufficientResolution, InvalidAnchors, NonConvergence,
-                     NotApplicable, OracleDiverged, OutOfRegion,
-                     PreconditionFailed, QPWaveError, ResonantBox, Singular)
+                     NotApplicable, OracleDiverged, OracleTooLarge,
+                     OutOfRegion, PreconditionFailed, QPWaveError,
+                     ResonantBox, Singular)
 from .lattice import (RegionSpec, ResonantSet, Site, cube, index_map,
                       region_members)
 from .spectrum import (AdmissibleMScan, Certificate, FrequencyCombination,

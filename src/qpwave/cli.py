@@ -26,6 +26,7 @@ malformed file, 3 resonant box, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -35,8 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import linop, solver, spectrum
-from .errors import (NonConvergence, PreconditionFailed, QPWaveError,
-                     ResonantBox)
+from .errors import NonConvergence, QPWaveError, ResonantBox
 from .nonlin import CoefficientField
 from .spectrum import Certificate, ModelParams
 from .solver import SolverConfig
@@ -127,11 +127,7 @@ def default_config() -> dict:
             "anchors": [[0]], "amplitudes": [1.0],
             "gamma": 1.0, "k_exponent": None,
         },
-        "solver": {
-            "M": 3, "r_max": 6, "residual_floor": 1e-12,
-            "q_update_damping": 1.0, "dense_size_limit": 5000,
-            "max_condition": 1e14, "coupling_limit": 0.1,
-        },
+        "solver": dataclasses.asdict(SolverConfig()),
         "cert": {
             "L": 5, "c_star": 0.008, "eta": 1e-3,
             "m_grid_points": 2001, "sigma_grid_points": 4001,
@@ -143,7 +139,6 @@ def default_config() -> dict:
             "window": None,
         },
         "output": {"out_dir": "qpwave-out"},
-        "seed": 20240601,
     }
 
 
@@ -177,15 +172,12 @@ def model_params(cfg: dict) -> ModelParams:
 
 
 def solver_config(cfg: dict) -> SolverConfig:
+    """The ``solver`` block over the SolverConfig defaults, cast to the
+    defaults' types; SolverConfig range-checks it."""
     s = cfg.get("solver", {})
-    return SolverConfig(
-        M=int(s.get("M", 3)), r_max=int(s.get("r_max", 6)),
-        residual_floor=float(s.get("residual_floor", 1e-12)),
-        q_update_damping=float(s.get("q_update_damping", 1.0)),
-        dense_size_limit=int(s.get("dense_size_limit", 5000)),
-        max_condition=float(s.get("max_condition", 1e14)),
-        coupling_limit=float(s.get("coupling_limit", 0.1)),
-    )
+    return SolverConfig(**{f.name: type(f.default)(s[f.name])
+                           for f in dataclasses.fields(SolverConfig)
+                           if f.name in s})
 
 
 def scan_config(cfg: dict) -> dict:
@@ -408,7 +400,7 @@ def run_solve(cfg: dict, out_dir: Path, force: bool = False,
               f"r_max = {config.r_max} stages", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
     if with_oracle:
-        box = min(8, config.M ** max(1, min(2, config.r_max)))
+        box = min(8, config.M ** min(2, config.r_max))
         comp = _write_oracle_compare(cfg, out_dir, params, sol, box)
         print(f"oracle discrepancy {comp['sup_discrepancy']:.3e} "
               f"-> {out_dir / 'oracle_compare.txt'}")
@@ -526,6 +518,12 @@ def run_oracle_compare(cfg: dict, out_dir: Path, solution_path: Path,
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _box_radius(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"box radius must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpwave",
@@ -558,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare a solution file against the dense oracle")
     common(p)
     p.add_argument("solution", type=Path)
-    p.add_argument("--box", type=int, default=8)
+    p.add_argument("--box", type=_box_radius, default=8)
     return parser
 
 
@@ -590,7 +588,7 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
-    except (PreconditionFailed, QPWaveError) as exc:
+    except QPWaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     raise AssertionError(f"unhandled command {args.command}")

@@ -83,5 +83,9 @@ class OracleDiverged(QPWaveError):
     """The dense validation Newton iteration failed to converge."""
 
 
+class OracleTooLarge(QPWaveError, ValueError):
+    """The dense validation oracle refuses a truncated system this large."""
+
+
 class InsufficientData(QPWaveError):
     """Not enough support points for a requested fit."""

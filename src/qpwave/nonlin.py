@@ -7,6 +7,8 @@ is F(q) = D q + eps * Laplacian(q) + delta * q_*^(p+1) with D the diagonal
 mu_n^2 - (k.omega)^2 and the (p+1)-fold convolution taken in k per space
 site.  Convolutions are exact sparse sums (supports stay tiny at the scales
 this package targets); a relative cutoff of 1e-16 drops denormal clutter.
+Fields are immutable, so each convolution power is computed once per field
+and kept on it for later calls of :func:`convolve_power`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ class CoefficientField:
     """Immutable sparse map Site -> amplitude with q(k,n) = q(-k,n).
 
     Only the lexicographically larger of {k, -k} is stored (k = 0 once);
-    lookups canonicalize.  Use :meth:`from_entries` to build one.
+    lookups canonicalize.  Use :meth:`from_entries` to build one.  Nothing
+    writes to ``_data`` after construction; ``_powers`` keeps the convolution
+    powers already computed from it (order -> field).
     """
 
-    __slots__ = ("_data", "b", "d")
+    __slots__ = ("_data", "b", "d", "_powers")
 
     def __init__(self, data: Dict[tuple, float], b: int, d: int, _trusted=False):
         if not _trusted:
@@ -38,6 +42,7 @@ class CoefficientField:
         self._data = data
         self.b = b
         self.d = d
+        self._powers: Dict[int, "CoefficientField"] = {}
 
     @classmethod
     def from_entries(cls, entries: Iterable, b: int, d: int) -> "CoefficientField":
@@ -134,11 +139,6 @@ class CoefficientField:
         return CoefficientField({k: factor * v for k, v in self._data.items()},
                                 self.b, self.d, _trusted=True)
 
-    def restricted(self, predicate) -> "CoefficientField":
-        return CoefficientField(
-            {(k, n): v for (k, n), v in self._data.items() if predicate(Site(k, n))},
-            self.b, self.d, _trusted=True)
-
 
 def _full_slice(q: CoefficientField, n: tuple) -> Dict[tuple, float]:
     """The k-slice of q at space site n, expanded to both k and -k."""
@@ -175,28 +175,30 @@ def convolve(qa: CoefficientField, qb: CoefficientField) -> CoefficientField:
 
 
 def convolve_power(q: CoefficientField, order: int) -> CoefficientField:
-    """Per-site order-fold k-convolution q_*^order; order 1 is q itself."""
+    """Per-site order-fold k-convolution q_*^order; order 1 is q itself.
+    Computed on the first call for (q, order) and stored on q."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order == 1:
         return q
+    if order not in q._powers:
+        q._powers[order] = _power(q, order)
+    return q._powers[order]
+
+
+def _power(q: CoefficientField, order: int) -> CoefficientField:
+    """q_*^order for order >= 2, pruned below CONVOLUTION_DROP * sup norm."""
     data: Dict[tuple, float] = {}
     for n in q.space_support():
-        base = _full_slice(q, n)
-        acc = dict(base)
+        acc = base = _full_slice(q, n)
         for _ in range(order - 1):
             acc = _convolve_slices(acc, base)
         for k, v in acc.items():
-            ck = canonical_k(k)
-            if k == ck and v != 0.0:
+            if k == canonical_k(k) and v != 0.0:
                 data[(k, n)] = v
-    out = CoefficientField(data, q.b, q.d, _trusted=True)
-    cut = CONVOLUTION_DROP * out.sup_norm()
-    if cut > 0.0:
-        out = CoefficientField(
-            {key: v for key, v in out._data.items() if abs(v) >= cut},
-            q.b, q.d, _trusted=True)
-    return out
+    cut = CONVOLUTION_DROP * max(map(abs, data.values()), default=0.0)
+    return CoefficientField({key: v for key, v in data.items() if abs(v) >= cut},
+                            q.b, q.d, _trusted=True)
 
 
 @dataclass(frozen=True)

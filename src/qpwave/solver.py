@@ -3,11 +3,13 @@
 The lattice equation F(q) = 0 splits into P-equations (off the resonant
 set, solved for q by a Newton scheme on geometrically growing boxes) and
 Q-equations (on the resonant set, solved for the frequency vector omega;
-the anchored amplitudes q = a_l/2 stay frozen exactly).  Each stage first
-re-solves the Q-equations, then applies one smoothed Newton step
-delta_q = -G * F(q) with G the inverse of the linearized operator
-restricted to the stage box minus the resonant set, then re-solves Q again
-so the resonant rows vanish identically in the reported residual.
+the anchored amplitudes q = a_l/2 stay frozen exactly).  At frozen q the
+Q-equations give omega^2 in closed form, so a Q-step is one (optionally
+damped) update of omega^2.  Each stage first applies a Q-step, then one
+smoothed Newton step delta_q = -G * F(q) with G the inverse of the
+linearized operator restricted to the stage box minus the resonant set,
+then a second Q-step so that, undamped, the resonant rows vanish
+identically in the reported residual.
 
 A plain dense Newton iteration on the full truncated system (q off the
 resonant set plus omega, no staging) serves as an independent validation
@@ -27,13 +29,16 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
-                     OracleDiverged, PreconditionFailed, ResonantBox)
+                     OracleDiverged, OracleTooLarge, PreconditionFailed,
+                     ResonantBox)
 from .lattice import (ResonantSet, Site, canonical_k, cube, index_map,
                       neighbor_offsets, unit_k)
 from .linop import OperatorSpec, assemble, assemble_sparse
 from .nonlin import (CoefficientField, ResidualReport, convolve_power,
                      linearize, pde_residual, residual, weighted_tail_norm)
 from .spectrum import Certificate, ModelParams, mu, omega0
+
+MAX_BOX_SITES = 3_000_000  # admits the full default ladder M=3, r<=6
 
 
 @dataclass(frozen=True)
@@ -43,18 +48,23 @@ class SolverConfig:
     M: int = 3                      # box growth base; stage r box radius M^r
     r_max: int = 6
     residual_floor: float = 1e-12
-    q_update_damping: float = 1.0   # damping on the omega^2 fixed point
+    q_update_damping: float = 1.0   # fraction of the Q update applied per Q-step
     dense_size_limit: int = 5000    # dense factorization up to this size
     max_condition: float = 1e14
     coupling_limit: float = 0.1     # largest eps+delta the stage scheme accepts
-    stage_tolerance_factor: float = 1e-2  # Q-solve tolerance vs current residual
-    max_box_sites: int = 3_000_000  # admits the full default ladder M=3, r<=6
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ValueError("box growth base M must be >= 2")
-        if not 0.0 < self.q_update_damping <= 1.0:
-            raise ValueError("q_update_damping must lie in (0, 1]")
+        for name, ok, rule in (
+                ("M", self.M >= 2, ">= 2"), ("r_max", self.r_max >= 1, ">= 1"),
+                ("residual_floor", self.residual_floor > 0.0, "> 0"),
+                ("q_update_damping", 0.0 < self.q_update_damping <= 1.0,
+                 "in (0, 1]"),
+                ("dense_size_limit", self.dense_size_limit >= 0, ">= 0"),
+                ("max_condition", self.max_condition >= 1.0, ">= 1"),
+                ("coupling_limit", self.coupling_limit > 0.0, "> 0")):
+            if not ok:
+                raise ValueError(f"solver.{name} must be {rule}, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -141,13 +151,15 @@ def _q_equation_rhs(q: CoefficientField, params: ModelParams) -> np.ndarray:
 
 
 def q_step(q: CoefficientField, omega_current: Sequence[float],
-           params: ModelParams, damping: float = 1.0,
-           tolerance: float = 1e-14, max_sweeps: int = 50) -> np.ndarray:
-    """Solve the Q-equations for omega at frozen q (damped fixed point on
-    omega^2).
+           params: ModelParams, damping: float = 1.0) -> np.ndarray:
+    """Solve the Q-equations for omega at frozen q.
 
-    omega_l^2 = (omega_l^0)^2 + eps*(2/a_l)(Delta q)(e_l, n^(l))
-              + delta*(2/a_l) q_*^{p+1}(e_l, n^(l)).
+    The Q-equations fix omega^2 in closed form,
+      target_l = (omega_l^0)^2 + eps*(2/a_l)(Delta q)(e_l, n^(l))
+               + delta*(2/a_l) q_*^{p+1}(e_l, n^(l)),
+    which does not depend on omega.  The step applies the fraction
+    ``damping`` of the update: omega^2 = (1 - damping)*omega_current^2
+    + damping*target, so damping = 1 returns sqrt(target) exactly.
     Raises FrequencyCollapse when a squared frequency would turn nonpositive.
     """
     for l, (n, a) in enumerate(zip(params.anchors, params.amplitudes), start=1):
@@ -156,18 +168,12 @@ def q_step(q: CoefficientField, omega_current: Sequence[float],
             raise PreconditionFailed(
                 f"anchor value at l={l} is {q.get(unit_k(l, params.b), n)}, "
                 f"expected a_l/2 = {expected}")
-    om0_sq = omega0(params) ** 2
-    target_sq = om0_sq + _q_equation_rhs(q, params)
-    om_sq = np.asarray(omega_current, dtype=float) ** 2
-    for _ in range(max_sweeps):
-        new_sq = (1.0 - damping) * om_sq + damping * target_sq
-        if (new_sq <= 0.0).any():
-            raise FrequencyCollapse(
-                f"nonpositive squared frequency {new_sq}; couplings too large")
-        step = np.abs(np.sqrt(new_sq) - np.sqrt(np.maximum(om_sq, 0.0))).max()
-        om_sq = new_sq
-        if step < tolerance:
-            break
+    target_sq = omega0(params) ** 2 + _q_equation_rhs(q, params)
+    om_sq = ((1.0 - damping) * np.asarray(omega_current, dtype=float) ** 2
+             + damping * target_sq)
+    if (om_sq <= 0.0).any():
+        raise FrequencyCollapse(
+            f"nonpositive squared frequency {om_sq}; couplings too large")
     return np.sqrt(om_sq)
 
 
@@ -213,13 +219,11 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
                 f"stage box radius {box} does not contain the resonant set",
                 stage=stage, site=site)
     region = cube(box, params.b, params.d, excluded=resonant)
-    expected = 1
-    for w in region.half_widths:
-        expected *= 2 * w + 1
-    if expected > config.max_box_sites:
+    expected = math.prod(2 * w + 1 for w in region.half_widths)
+    if expected > MAX_BOX_SITES:
         raise PreconditionFailed(
             f"stage {stage} box holds ~{expected} sites, above "
-            f"max_box_sites={config.max_box_sites}; lower M or r_max")
+            f"max_box_sites={MAX_BOX_SITES}; lower M or r_max")
     idx = index_map(region)
     sites = idx.sites
     n_sites = len(sites)
@@ -228,9 +232,7 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
     spec = OperatorSpec(region, 0.0, tuple(float(w) for w in omega), params, kernel)
 
     f_field = residual(q, omega, params).field
-    rhs = np.zeros(n_sites)
-    for i, site in enumerate(sites):
-        rhs[i] = -f_field.get(site.k, site.n)
+    rhs = -np.array([f_field.get(site.k, site.n) for site in sites])
 
     if n_sites <= config.dense_size_limit:
         matrix = assemble(spec)
@@ -268,11 +270,8 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
         k, n = site.k, site.n
         if canonical_k(k) != k:
             continue
-        if any(k):
-            j = idx.get((tuple(-v for v in k), n))
-            val = 0.5 * (x[i] + x[j]) if j is not None else x[i]
-        else:
-            val = x[i]
+        j = idx.get((tuple(-v for v in k), n)) if any(k) else None
+        val = 0.5 * (x[i] + x[j]) if j is not None else x[i]
         if val != 0.0:
             entries[(k, n)] = float(val)
     increment = CoefficientField.from_entries(entries, params.b, params.d)
@@ -370,11 +369,10 @@ def solve(params: ModelParams, config: SolverConfig = SolverConfig(),
     if not converged:
         for stage in range(1, config.r_max + 1):
             t0 = time.perf_counter()
-            q_tol = max(config.stage_tolerance_factor * rep.l2_norm, 1e-16)
-            omega = q_step(q, omega, params, config.q_update_damping, q_tol)
+            omega = q_step(q, omega, params, config.q_update_damping)
             step = p_step(q, omega, params, stage, config)
             q = q.add(step.increment)
-            omega = q_step(q, omega, params, config.q_update_damping, q_tol)
+            omega = q_step(q, omega, params, config.q_update_damping)
             prev_norm = rep.l2_norm
             rep = residual(q, omega, params)
             try:
@@ -421,16 +419,15 @@ def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
     unknown_sites = [s for s in region.members() if canonical_k(s.k) == s.k]
     n_unknowns = len(unknown_sites)
     if n_unknowns + params.b > 10_000:
-        raise ValueError(
-            f"truncated system has {n_unknowns + params.b} unknowns (> 10^4)")
+        raise OracleTooLarge(
+            f"oracle box {box}: truncated system has {n_unknowns + params.b} "
+            f"unknowns (> 10^4)")
     col = {s: i for i, s in enumerate(unknown_sites)}
     anchor_rows = [(unit_k(l, params.b), tuple(n), a)
                    for l, (n, a) in enumerate(
                        zip(params.anchors, params.amplitudes), start=1)]
 
-    frozen = {(unit_k(l, params.b), tuple(n)): a / 2.0
-              for l, (n, a) in enumerate(
-                  zip(params.anchors, params.amplitudes), start=1)}
+    frozen = {(e, n): a / 2.0 for e, n, a in anchor_rows}
 
     def field_of(x: np.ndarray) -> CoefficientField:
         entries = dict(frozen)
@@ -531,11 +528,8 @@ def compare_with_oracle(solution: Solution, oracle: OracleResult,
     if box is None:
         box = min(solution.q.support_bound(), oracle.q.support_bound())
     worst = 0.0
-    keys = set()
-    for k, n, _v in solution.q.canonical_items():
-        keys.add((k, n))
-    for k, n, _v in oracle.q.canonical_items():
-        keys.add((k, n))
+    keys = {(k, n) for field in (solution.q, oracle.q)
+            for k, n, _v in field.canonical_items()}
     for k, n in keys:
         if max((abs(x) for x in k + n), default=0) > box:
             continue

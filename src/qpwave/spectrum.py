@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (InsufficientResolution, InvalidAnchors, NotApplicable,
                      PreconditionFailed)
-from .lattice import ResonantSet, Site, box_vectors, unit_k
+from .lattice import ResonantSet, box_vectors, unit_k
 
 TWO_PI = 2.0 * math.pi
 
@@ -605,10 +605,8 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     # (1) pair separation
     thr1 = (2.0 / math.pi**2) * float(L) ** (-6 * params.d)
     pair_min = np.full(nm, np.inf)
-    for i in range(len(space)):
-        if i + 1 < len(space):
-            pair_min = np.minimum(
-                pair_min, np.abs(mus[i + 1:] - mus[i]).min(axis=0))
+    for i in range(len(space) - 1):
+        pair_min = np.minimum(pair_min, np.abs(mus[i + 1:] - mus[i]).min(axis=0))
     cond1 = pair_min >= thr1
     fails["separation"] = float(1.0 - cond1.mean())
     ok &= cond1
@@ -623,14 +621,16 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     # (3) shifted, over the cube of radius L minus the resonant set
     kcube = np.vstack([np.zeros((1, params.b), dtype=int),
                        _enumerate_nonzero(L, params.b)])
-    resonant = params.resonant_set()
+    excluded = {}                                     # k -> resonant n's
+    for site in params.resonant_set().members:
+        excluded.setdefault(site.k, []).append(site.n)
     cond3 = np.ones(nm, dtype=bool)
-    for ik, kv in enumerate(kcube):
+    for kv in kcube:
+        rows = np.ones(len(space), dtype=bool)
+        for n in excluded.get(tuple(int(x) for x in kv), ()):
+            rows &= (space != n).any(axis=1)
         kw = kv.astype(float) @ om                    # (nm,)
-        for i in range(len(space)):
-            if Site(tuple(int(x) for x in kv), tuple(int(x) for x in space[i])) in resonant:
-                continue
-            cond3 &= np.abs(kw + mus[i]) > eta
+        cond3 &= (np.abs(kw + mus[rows]) > eta).all(axis=0)
     fails["shifted"] = float(1.0 - cond3.mean())
     ok &= cond3
 

@@ -38,6 +38,31 @@ class TestConfig:
             cli.model_params(cfg)
             cli.solver_config(cfg)
 
+    def test_config_with_legacy_seed_loads(self, workdir):
+        cfg = cli.default_config()
+        assert "seed" not in cfg
+        cfg["seed"] = 20240601
+        path = workdir / "legacy.txt"
+        cli.write_file(path, cfg)
+        assert cli.load_config(path) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("M", 1), ("r_max", 0), ("r_max", -3), ("residual_floor", 0.0),
+        ("residual_floor", -1.0), ("q_update_damping", 0.0),
+        ("q_update_damping", 1.5), ("dense_size_limit", -5),
+        ("max_condition", -1.0), ("max_condition", 0.5),
+        ("coupling_limit", 0.0),
+    ])
+    def test_out_of_range_solver_block_is_bad_config(self, workdir, field,
+                                                     value):
+        cfg = cli.default_config()
+        cfg["solver"][field] = value
+        path = workdir / "solver.txt"
+        cli.write_file(path, cfg)
+        assert run(["solve", "--config", path, "--out", workdir,
+                    "--force"]) == cli.EXIT_BAD_CONFIG
+        assert not (workdir / "solution.txt").exists()
+
     def test_invalid_config_exit_code(self, workdir):
         bad = cli.default_config()
         bad["model"]["m"] = 7.0  # outside [2,3]
@@ -248,3 +273,19 @@ class TestOracleCompare:
         assert code == cli.EXIT_OK
         comp = cli.read_file(workdir / "oracle_compare.txt")
         assert comp["sup_discrepancy"] <= 1e-9
+
+    def test_box_below_one_rejected_at_parse_time(self, workdir, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["oracle-compare", "--preset", "small-coupling",
+                 "--out", workdir, workdir / "solution.txt", "--box", "0"])
+        assert err.value.code == cli.EXIT_BAD_CONFIG
+        assert "box radius must be >= 1" in capsys.readouterr().err
+
+    def test_oversized_box_is_bad_config(self, workdir, capsys):
+        run(["solve", "--preset", "small-coupling", "--out", workdir,
+             "--force"])
+        code = run(["oracle-compare", "--preset", "small-coupling",
+                    "--out", workdir, workdir / "solution.txt", "--box", "80"])
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "unknowns (> 10^4)" in capsys.readouterr().err
+        assert not (workdir / "oracle_compare.txt").exists()

@@ -84,6 +84,23 @@ class TestConvolvePower:
         z = CoefficientField.zero(1, 1)
         assert len(convolve_power(z, 4)) == 0
 
+    def test_power_is_stored_on_the_field(self):
+        q = field_from({((1,), (0,)): 0.5, ((2,), (1,)): -0.25})
+        assert convolve_power(q, 3) is convolve_power(q, 3)
+        assert convolve_power(q, 2) is not convolve_power(q, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=sparse_fields(b=2, d=1),
+           orders=st.lists(st.integers(2, 4), min_size=1, max_size=6))
+    def test_stored_power_matches_fresh_computation(self, q, orders):
+        for order in orders:
+            stored = convolve_power(q, order)
+            fresh = convolve_power(CoefficientField.from_entries(
+                {(k, n): v for k, n, v in q.canonical_items()}, q.b, q.d),
+                order)
+            assert dict(((k, n), v) for k, n, v in stored.canonical_items()) \
+                == dict(((k, n), v) for k, n, v in fresh.canonical_items())
+
     @settings(max_examples=40, deadline=None)
     @given(q=sparse_fields(), a=st.integers(1, 3), b=st.integers(1, 2))
     def test_power_additivity(self, q, a, b):

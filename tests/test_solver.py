@@ -65,6 +65,17 @@ class TestQStep:
         with pytest.raises(FrequencyCollapse):
             q_step(q, omega0(p), p)
 
+    def test_damped_step_is_one_closed_form_update(self, params):
+        # the target does not depend on omega, so damping d applies the
+        # fraction d of the omega^2 update once
+        q0 = initial_field(params)
+        current = omega0(params) * 1.01
+        target = q_step(q0, current, params)
+        om = q_step(q0, current, params, damping=0.5)
+        expected = np.sqrt(0.5 * current ** 2 + 0.5 * target ** 2)
+        assert np.array_equal(om, expected)
+        assert abs(om[0] - target[0]) > 1e-4
+
     def test_frequency_amplitude_jacobian_scales_like_delta(self):
         # det(d omega / d a) ~ delta for b = 1, via finite differences of the
         # closed-form first step (centered inside the [1,2] amplitude box)
@@ -164,6 +175,23 @@ class TestSolve:
         assert not failing.passed
         with pytest.raises(PreconditionFailed):
             solve(params, certificates={"alpha_dc": failing})
+
+    def test_each_power_computed_once_per_field(self, params, monkeypatch):
+        # stage 0 builds q0^3 for the residual; each stage builds q^2 (for
+        # linearize) on its input field and q^3 on its output field, and
+        # every other use reads the power stored on the field
+        from qpwave import nonlin
+        computed = []
+        real_power = nonlin._power
+
+        def counting_power(q, order):
+            computed.append(order)
+            return real_power(q, order)
+
+        monkeypatch.setattr(nonlin, "_power", counting_power)
+        sol = solve(params, SolverConfig(M=3, r_max=2))
+        assert len(sol.trace) == 3
+        assert sorted(computed) == [2, 2, 3, 3, 3]
 
     def test_stagnation_raises_non_convergence(self, params):
         config = SolverConfig(M=2, r_max=8, residual_floor=1e-30,
