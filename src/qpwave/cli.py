@@ -37,7 +37,8 @@ import numpy as np
 
 from . import linop, solver, spectrum
 from .errors import NonConvergence, QPWaveError, ResonantBox
-from .nonlin import CoefficientField
+from .lattice import Site
+from .nonlin import CoefficientField, linearize
 from .spectrum import Certificate, ModelParams
 from .solver import SolverConfig
 
@@ -237,6 +238,10 @@ def load_config(path=None, preset=None) -> dict:
     cfg = preset_config(preset) if preset else read_file(Path(path))
     if not isinstance(cfg, dict) or "model" not in cfg:
         raise ValueError("config must be an object with a 'model' block")
+    for block in ("model", "solver", "cert", "scan", "output"):
+        if block in cfg and not isinstance(cfg[block], dict):
+            raise ValueError(f"config block '{block}' must be an object, "
+                             f"got {cfg[block]!r}")
     if int(cfg.get("format_version", FORMAT_VERSION)) != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {cfg.get('format_version')}")
     model_params(cfg)   # range checks happen at load time
@@ -265,9 +270,7 @@ def certificate_dict(cert: Certificate) -> dict:
 def field_records(field: CoefficientField) -> list:
     rows = []
     for k, n, v in field.full_items():
-        order = max((abs(x) for x in k), default=0) + \
-            max((abs(x) for x in n), default=0)
-        rows.append((order, k + n, list(k), list(n), float(v)))
+        rows.append((Site(k, n).order, k + n, list(k), list(n), float(v)))
     rows.sort(key=lambda r: (r[0], r[1]))
     return [[r[2], r[3], r[4]] for r in rows]
 
@@ -427,11 +430,8 @@ def run_lde_scan(cfg: dict, out_dir: Path) -> int:
     params = model_params(cfg)
     scan = scan_config(cfg)
     omega = spectrum.omega0(params)
-    q0 = solver.initial_field(params)
-    kernel = None
-    if params.delta != 0.0:
-        from .nonlin import linearize
-        kernel = linearize(q0, params.p)
+    kernel = linearize(solver.initial_field(params), params.p) \
+        if params.delta != 0.0 else None
     sigma_grid = None
     if scan["window"] is not None:
         sigma_grid = np.linspace(*scan["window"], scan["num_sigma"])

@@ -3,15 +3,16 @@
 Sites pair a frequency multi-index k (length b) with a space site n
 (length d).  Regions are rectangles minus a translated copy of themselves
 (the box shape used in multiscale analysis), optionally with the resonant
-set removed.  This module owns the lattice geometry the other modules use:
-box enumeration as integer arrays (``box_vectors``), region membership
-(``RegionSpec.members``) and the l1 neighbour offsets of the discrete
-Laplacian (``neighbor_offsets``).  Region values are immutable; members come
-in lexicographic order, so downstream matrix assembly is deterministic.
+set removed.  This module owns the lattice geometry and the one map from
+sites to matrix rows: boxes and region members as int arrays of vectors
+(k | n) in lexicographic order (``box_vectors``, ``RegionSpec.vectors``), the
+row index of a region (``index_map``: a ``RegionIndex`` looks whole arrays of
+vectors up at once) and the l1 neighbour offsets (``neighbor_offsets``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import EmptyRegion, InvalidAnchors, OutOfRegion
 
 # Regions whose bounding box holds more candidate sites than this are
-# refused: members() materializes every candidate as an array row first.
+# refused: vectors() materializes every candidate as an array row first.
 MATERIALIZE_LIMIT = 10**7
 
 
@@ -36,11 +37,8 @@ def box_vectors(center: Sequence[int], half_widths: Sequence[int]) -> np.ndarray
 
 def neighbor_offsets(d: int) -> list:
     """The 2d unit vectors +-e_j of Z^d, axis by axis, minus before plus."""
-    out = []
-    for j in range(d):
-        for s in (-1, 1):
-            out.append(tuple(s if i == j else 0 for i in range(d)))
-    return out
+    return [tuple(s if i == j else 0 for i in range(d))
+            for j in range(d) for s in (-1, 1)]
 
 
 class Site(NamedTuple):
@@ -76,6 +74,11 @@ class Site(NamedTuple):
 
     def negated_k(self) -> "Site":
         return Site(tuple(-x for x in self.k), self.n)
+
+
+def sites_of(vectors: np.ndarray, b: int) -> tuple:
+    """The rows (k | n) of an int array as Sites."""
+    return tuple(Site(tuple(v[:b]), tuple(v[b:])) for v in vectors.tolist())
 
 
 def canonical_k(k: tuple) -> tuple:
@@ -143,13 +146,13 @@ class RegionSpec:
         if any(w < 0 for w in self.half_widths):
             raise ValueError("half_widths must be nonnegative")
 
-    def members(self) -> tuple:
-        """Member sites, lexicographic on the concatenated vector."""
-        cached = getattr(self, "_members_cache", None)
+    def vectors(self) -> np.ndarray:
+        """Member vectors (k | n) as rows of a read-only int array, in
+        lexicographic order: the base box, minus the rows of its shifted copy,
+        minus the excluded sites."""
+        cached = getattr(self, "_vectors", None)
         if cached is None:
-            bound = 1
-            for w in self.half_widths:
-                bound *= 2 * w + 1
+            bound = math.prod(2 * w + 1 for w in self.half_widths)
             if bound > MATERIALIZE_LIMIT:
                 raise MemoryError(
                     f"region with {bound} candidate sites exceeds the "
@@ -157,29 +160,31 @@ class RegionSpec:
             center = np.asarray(self.base_center.vector)
             widths = np.asarray(self.half_widths)
             vecs = box_vectors(center, widths)
+            keep = np.ones(len(vecs), dtype=bool)
             if any(self.shift):
                 back = vecs - np.asarray(self.shift) - center
-                vecs = vecs[(np.abs(back) > widths).any(axis=1)]
-            sites = [Site(tuple(v[:self.b]), tuple(v[self.b:]))
-                     for v in vecs.tolist()]
+                keep = (np.abs(back) > widths).any(axis=1)
             if self.excluded is not None:
-                sites = [s for s in sites if s not in self.excluded.members]
-            cached = tuple(sites)
-            object.__setattr__(self, "_members_cache", cached)
+                for site in self.excluded.members:
+                    keep &= (vecs != site.vector).any(axis=1)
+            cached = vecs[keep]
+            cached.flags.writeable = False
+            object.__setattr__(self, "_vectors", cached)
         return cached
 
+    def members(self) -> tuple:
+        """Member sites, in the order of :meth:`vectors`."""
+        return sites_of(self.vectors(), self.b)
+
     def size(self) -> int:
-        return len(self.members())
+        return len(self.vectors())
 
     def diameter(self) -> int:
         """Sup-norm diameter of the member set (coordinatewise span max)."""
-        mem = self.members()
-        if not mem:
+        vecs = self.vectors()
+        if not len(vecs):
             raise EmptyRegion("cannot take the diameter of an empty region")
-        vecs = [s.vector for s in mem]
-        dim = len(vecs[0])
-        return max(max(v[i] for v in vecs) - min(v[i] for v in vecs)
-                   for i in range(dim))
+        return int((vecs.max(axis=0) - vecs.min(axis=0)).max())
 
 
 def cube(L: int, b: int, d: int, excluded: Optional[ResonantSet] = None) -> RegionSpec:
@@ -200,38 +205,54 @@ def region_members(spec: RegionSpec) -> tuple:
 
 
 class RegionIndex:
-    """Bijection between a region's sites and 0..N-1, stable per spec."""
+    """Row numbers 0..N-1 of N distinct vectors (k | n), in the order given,
+    kept in an int array over their bounding box so that whole arrays of
+    vectors are looked up at once; ``b`` splits a vector into k and n."""
 
-    def __init__(self, spec: RegionSpec):
-        self.spec = spec
-        self.sites = region_members(spec)
-        self._index = {s: i for i, s in enumerate(self.sites)}
+    def __init__(self, vectors, b: int):
+        self.vectors = np.asarray(vectors, dtype=int)
+        self.b = b
+        self._lo = self.vectors.min(axis=0)
+        self._shape = self.vectors.max(axis=0) - self._lo + 1
+        self._table = np.full(tuple(self._shape), -1, dtype=np.intp)
+        self._table[tuple((self.vectors - self._lo).T)] = \
+            np.arange(len(self.vectors))
 
     @property
     def size(self) -> int:
-        return len(self.sites)
+        return len(self.vectors)
 
-    def index_of(self, site) -> int:
-        key = Site(tuple(site[0]), tuple(site[1]))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise OutOfRegion(f"site {key} not in region") from None
+    @property
+    def sites(self) -> tuple:
+        return sites_of(self.vectors, self.b)
 
-    def site_of(self, i: int) -> Site:
-        if not 0 <= i < len(self.sites):
-            raise OutOfRegion(f"index {i} out of range 0..{len(self.sites)-1}")
-        return self.sites[i]
+    def lookup(self, rows) -> np.ndarray:
+        """The row number of each vector along the last axis of ``rows``, or
+        -1 where the vector is not indexed."""
+        rel = np.asarray(rows) - self._lo
+        inside = ((rel >= 0) & (rel < self._shape)).all(axis=-1)
+        out = np.full(inside.shape, -1, dtype=np.intp)
+        out[inside] = self._table[tuple(rel[inside].T)]
+        return out
 
     def get(self, site) -> Optional[int]:
-        return self._index.get(Site(tuple(site[0]), tuple(site[1])))
+        i = int(self.lookup([tuple(site[0]) + tuple(site[1])])[0])
+        return i if i >= 0 else None
+
+    def index_of(self, site) -> int:
+        i = self.get(site)
+        if i is None:
+            raise OutOfRegion(f"site {Site(*map(tuple, site))} not in region")
+        return i
+
+    def site_of(self, i: int) -> Site:
+        if not 0 <= i < self.size:
+            raise OutOfRegion(f"index {i} out of range 0..{self.size - 1}")
+        return sites_of(self.vectors[i:i + 1], self.b)[0]
 
 
 def index_map(spec: RegionSpec) -> RegionIndex:
-    return RegionIndex(spec)
-
-
-def sup_distance(a: Site, b: Site) -> int:
-    """Sup-norm distance |j - j'| between two sites."""
-    va, vb = a.vector, b.vector
-    return max(abs(x - y) for x, y in zip(va, vb))
+    """The row index of a region's members; raises EmptyRegion when empty."""
+    if not spec.size():
+        raise EmptyRegion(f"region {spec} has no member sites")
+    return RegionIndex(spec.vectors(), spec.b)

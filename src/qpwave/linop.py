@@ -4,29 +4,31 @@ The operator is H(sigma) = D(sigma) + eps*Delta + delta*T_phi with diagonal
 D(sigma) at (k, n) equal to mu_n^2 - (sigma + k.omega)^2, the discrete
 Laplacian coupling l1-adjacent space sites at equal k, and the Toeplitz
 convolution T_phi coupling equal-n sites through a symmetric kernel phi.
-
-Green's function reports carry the operator norm, a fitted off-diagonal
-decay rate and pass flags against the large-deviation thresholds
-exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.  Scans over the
-spectral shift classify each grid sigma as good or bad for a subsampled
-family of translated elementary regions; bad fractions are reported against
-exp(-M^rho1).  The operator is assembled either dense (``assemble``) or as
-CSR (``assemble_sparse``); which one a caller factors is the caller's
-choice (the solver's ``SolverConfig.dense_size_limit``).
+Its entries are built as arrays over the rows of the region's
+``lattice.index_map``, whose lookup finds every neighbour and kernel offset
+of an array of sites at once; they are laid out dense (``assemble``) or as
+CSR (``assemble_sparse``), and which one a caller factors is the caller's
+choice (the solver's ``SolverConfig.dense_size_limit``).  Green's function
+reports carry the operator norm, a fitted off-diagonal decay rate and pass
+flags against exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
+Scans over the spectral shift classify each grid sigma as good or bad for a
+subsampled family of translated elementary regions, reusing each region's
+assembled entries; bad fractions are reported against exp(-M^rho1).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AsymmetricKernel, ComplementSingular, Singular
-from .lattice import (RegionSpec, ResonantSet, Site, box_vectors, index_map,
-                      neighbor_offsets)
+from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, box_vectors,
+                      index_map, neighbor_offsets)
 from .nonlin import CoefficientField
 from .spectrum import ModelParams, mu
 
@@ -86,61 +88,84 @@ class OperatorSpec:
         return out
 
 
-def _assemble_entries(spec: OperatorSpec):
-    """(index, sites, rows, cols, values) for the symmetric matrix."""
+def _per_distinct(rows: np.ndarray, fn) -> np.ndarray:
+    """fn(row) for every row of an int array, evaluated once per distinct
+    row (on a list of Python ints) and broadcast back to the rows."""
+    lo = rows.min(axis=0)
+    code = np.ravel_multi_index((rows - lo).T, rows.max(axis=0) - lo + 1)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return np.array([fn(r) for r in rows[first].tolist()], dtype=float)[inverse]
+
+
+class _Entries(NamedTuple):
+    """H(sigma) on a region as arrays over the region's rows: the diagonal,
+    its mu_n^2 and k.omega parts, and the off-diagonal entries."""
+    index: RegionIndex
+    mu2: np.ndarray
+    kw: np.ndarray
+    diag: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _assemble_entries(spec: OperatorSpec) -> _Entries:
+    """The entries of H(sigma), found through the region's row index.  k.omega
+    and mu_n^2 are evaluated once per distinct k and n with the scalar
+    ``np.dot`` and ``mu``, so every entry has the bits of the site-by-site
+    formula.  No (row, col) pair occurs twice."""
     idx = index_map(spec.region)
-    sites = idx.sites
     params = spec.params
+    b, d = params.b, params.d
+    vecs = idx.vectors
     omega = np.asarray(spec.omega, dtype=float)
-    slices = spec.kernel_slices()
+    kw = _per_distinct(vecs[:, :b], lambda k: float(np.dot(k, omega)))
+    mu2 = _per_distinct(vecs[:, b:], lambda n: mu(n, params) ** 2)
+    shift = spec.sigma + kw
+    diag = mu2 - shift * shift
 
-    rows, cols, vals = [], [], []
-    mu2_cache: Dict[tuple, float] = {}
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
 
-    def mu2(n):
-        if n not in mu2_cache:
-            mu2_cache[n] = mu(n, params) ** 2
-        return mu2_cache[n]
+    def couple(i, offsets, values):
+        # values[e] at (i, the row of vector i + offsets[e]) where it exists
+        j = idx.lookup(vecs[i][None, :, :] + offsets[:, None, :])
+        e, at = np.nonzero(j >= 0)
+        rows.append(i[at])
+        cols.append(j[e, at])
+        vals.append(values[e])
 
-    offs = neighbor_offsets(params.d)
-    for i, site in enumerate(sites):
-        k, n = site.k, site.n
-        shift = spec.sigma + float(np.dot(k, omega))
-        diag = mu2(n) - shift * shift
-        sl = slices.get(n)
-        if sl is not None:
-            diag += params.delta * sl.get((0,) * params.b, 0.0)
-        rows.append(i); cols.append(i); vals.append(diag)
-        if params.eps != 0.0:
-            for off in offs:
-                j = idx.get((k, tuple(x + o for x, o in zip(n, off))))
-                if j is not None:
-                    rows.append(i); cols.append(j); vals.append(params.eps)
-        if sl is not None and params.delta != 0.0:
-            for koff, v in sl.items():
-                if not any(koff):
-                    continue
-                j = idx.get((tuple(x - o for x, o in zip(k, koff)), n))
-                if j is not None:
-                    rows.append(i); cols.append(j); vals.append(params.delta * v)
-    return idx, sites, rows, cols, vals
+    if params.eps != 0.0:
+        offs = np.zeros((2 * d, b + d), dtype=int)
+        offs[:, b:] = neighbor_offsets(d)
+        couple(np.arange(idx.size), offs, np.full(2 * d, params.eps))
+    for n, sl in spec.kernel_slices().items():
+        i = np.flatnonzero((vecs[:, b:] == n).all(axis=1))
+        offs = np.zeros((len(sl), b + d), dtype=int)
+        offs[:, :b] = -np.array(list(sl)).reshape(len(sl), b)
+        v = np.array(list(sl.values()), dtype=float)
+        zero = ~offs.any(axis=1)
+        diag[i] += params.delta * (v[zero][0] if zero.any() else 0.0)
+        if params.delta != 0.0:
+            couple(i, offs[~zero], params.delta * v[~zero])
+    return _Entries(idx, mu2, kw, diag, *map(np.concatenate, (rows, cols, vals)))
 
 
 def assemble(spec: OperatorSpec) -> np.ndarray:
     """Dense symmetric matrix of H(sigma) on the region."""
-    idx, sites, rows, cols, vals = _assemble_entries(spec)
-    n = len(sites)
-    out = np.zeros((n, n))
-    for r, c, v in zip(rows, cols, vals):
-        out[r, c] += v
+    ent = _assemble_entries(spec)
+    out = np.diag(ent.diag)
+    out[ent.rows, ent.cols] += ent.vals
     return out
 
 
 def assemble_sparse(spec: OperatorSpec) -> sp.csr_matrix:
     """CSR matrix of H(sigma), with the same entries as ``assemble``."""
-    idx, sites, rows, cols, vals = _assemble_entries(spec)
-    n = len(sites)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    ent = _assemble_entries(spec)
+    diag = np.arange(ent.index.size)
+    return sp.csr_matrix((np.concatenate([ent.diag, ent.vals]),
+                          (np.concatenate([diag, ent.rows]),
+                           np.concatenate([diag, ent.cols]))),
+                         shape=(ent.index.size,) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +191,8 @@ class GreenReport:
     inverse_residual: float      # max |A G - I|
 
 
-def _pair_distances(sites) -> np.ndarray:
-    vecs = np.array([s.vector for s in sites])
+def _pair_distances(vecs: np.ndarray) -> np.ndarray:
+    """Sup-norm distances between the rows of an int array."""
     return np.abs(vecs[:, None, :] - vecs[None, :, :]).max(axis=-1)
 
 
@@ -188,19 +213,20 @@ def _eig_extent(matrix: np.ndarray) -> tuple:
     return smallest, largest
 
 
-def _green_report(matrix: np.ndarray, sites, scale: float, thresholds: Thresholds,
-                  gamma: float, decay_rate: Optional[float] = None) -> GreenReport:
+def _green_report(matrix: np.ndarray, vecs: np.ndarray, scale: float,
+                  thresholds: Thresholds, gamma: float,
+                  decay_rate: Optional[float] = None) -> GreenReport:
     smallest, largest = _eig_extent(matrix)
     green = np.linalg.inv(matrix)
     norm = 1.0 / smallest
-    inv_res = float(np.abs(matrix @ green - np.eye(len(sites))).max())
+    inv_res = float(np.abs(matrix @ green - np.eye(len(vecs))).max())
 
     norm_bound = math.exp(scale ** thresholds.rho2)
     rate_req = decay_rate if decay_rate is not None \
         else thresholds.decay_rate(gamma, scale)
     min_dist = scale ** thresholds.rho3
 
-    dists = _pair_distances(sites)
+    dists = _pair_distances(vecs)
     far = dists >= min_dist
     np.fill_diagonal(far, False)
     n_far = int(np.count_nonzero(far))
@@ -242,9 +268,9 @@ def green(spec: OperatorSpec, thresholds: Thresholds = Thresholds(),
     smallest |eigenvalue| is below SINGULARITY_RTOL times the largest.
     """
     matrix = assemble(spec)
-    sites = spec.region.members()
     m_scale = float(spec.region.diameter()) if scale is None else float(scale)
-    return _green_report(matrix, sites, m_scale, thresholds, spec.params.gamma)
+    return _green_report(matrix, spec.region.vectors(), m_scale, thresholds,
+                         spec.params.gamma)
 
 
 def green_matrix(spec: OperatorSpec) -> np.ndarray:
@@ -275,9 +301,7 @@ def elementary_region_family(M: int, b: int, d: int,
     dim = b + d
     shifts = [(0,) * dim]
     for axis in range(dim):
-        for mag in (w, 1, -w):
-            if mag == 0:
-                continue
+        for mag in (w, 1, -w):     # w = M // 2 >= 1
             shifts.append(tuple(mag if i == axis else 0 for i in range(dim)))
     shifts.append((w,) * dim)
 
@@ -291,11 +315,8 @@ def elementary_region_family(M: int, b: int, d: int,
         center = Site((0,) * b, tn)
         for z in shifts:
             spec = RegionSpec(center, (w,) * dim, z, b, d, excluded)
-            members = spec.members()
-            if not members:
-                continue
-            key = members
-            if key in seen:
+            key = spec.vectors().tobytes()      # b"" for an empty region
+            if not key or key in seen:
                 continue
             seen.add(key)
             family.append(spec)
@@ -411,18 +432,21 @@ def _scan_region(region: RegionSpec, params: ModelParams, omega: Sequence[float]
     # imported here: csgraph adds about 3 MB to every qpwave import
     from scipy.sparse.csgraph import connected_components
 
-    base = assemble(OperatorSpec(region, 0.0, tuple(omega), params, kernel))
-    sites = region.members()
-    kw = np.array([float(np.dot(s.k, np.asarray(omega))) for s in sites])
-    mu2 = np.array([mu(s.n, params) ** 2 for s in sites])
-    offdiag = base - np.diag(np.diag(base))
-    rest = np.diag(base) - (mu2 - kw**2)
-    dists = _pair_distances(sites)
+    ent = _assemble_entries(OperatorSpec(region, 0.0, tuple(omega), params,
+                                         kernel))
+    kw, mu2, n = ent.kw, ent.mu2, ent.index.size
+    offdiag = np.zeros((n, n))
+    offdiag[ent.rows, ent.cols] += ent.vals
+    rest = ent.diag - (mu2 - kw**2)
+    dists = _pair_distances(ent.index.vectors)
     far = dists >= min_dist
     np.fill_diagonal(far, False)
     decay_bound = np.exp(-rate_req * dists)
 
-    _, labels = connected_components(sp.csr_matrix(offdiag), directed=False)
+    edge = ent.vals != 0.0
+    graph = sp.csr_matrix((ent.vals[edge], (ent.rows[edge], ent.cols[edge])),
+                          shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
     cross = far & (labels[:, None] != labels[None, :])
     cross_bound = float(decay_bound[cross].min()) if cross.any() else np.inf
     order = np.argsort(labels, kind="stable")
@@ -438,7 +462,9 @@ def _scan_region(region: RegionSpec, params: ModelParams, omega: Sequence[float]
                                          kw[idx], far[sub],
                                          decay_bound[sub][far[sub]]))
 
-    zeta, zeta_kw, rows, cols, vals, bounds = [], [], [], [], [], []
+    empty, none = np.zeros(0), np.zeros(0, dtype=int)
+    zeta, zeta_kw, bounds, vals = [empty], [empty], [empty], [empty]
+    rows, cols = [none], [none]
     offset = n_pairs = 0
     for size, group in sorted(rigid_by_size.items()):
         idx = np.array(group)                      # (blocks, size)
@@ -458,15 +484,10 @@ def _scan_region(region: RegionSpec, params: ModelParams, omega: Sequence[float]
         n_pairs += len(blk)
 
     weights = np.zeros((offset, n_pairs))
-    if n_pairs:
-        weights[np.concatenate(rows), np.concatenate(cols)] = \
-            np.concatenate(vals)
-    empty = np.zeros(0)
+    weights[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
     return _ScanRegion(
-        zeta=np.concatenate(zeta) if zeta else empty,
-        zeta_kw=np.concatenate(zeta_kw) if zeta_kw else empty,
-        weights=weights,
-        pair_bound=np.concatenate(bounds) if bounds else empty,
+        zeta=np.concatenate(zeta), zeta_kw=np.concatenate(zeta_kw),
+        weights=weights, pair_bound=np.concatenate(bounds),
         cross_bound=cross_bound, coupled=tuple(coupled))
 
 
@@ -525,16 +546,10 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
 
     frac = float(bad.mean())
     length = window[1] - window[0]
-    intervals = []
-    start = None
-    for i, flag in enumerate(bad):
-        if flag and start is None:
-            start = sigma_grid[i]
-        elif not flag and start is not None:
-            intervals.append((float(start), float(sigma_grid[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(sigma_grid[-1])))
+    # runs of bad flags start and end where the padded flags change
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], bad, [False]])))
+    intervals = [(float(sigma_grid[a]), float(sigma_grid[z - 1]))
+                 for a, z in zip(edges[::2], edges[1::2])]
 
     return LdeScanReport(
         scale=M,
@@ -566,23 +581,14 @@ def diagonal_bad_intervals(M: int, params: ModelParams, omega: Sequence[float],
     family = elementary_region_family(M, params.b, params.d, resonant,
                                       max_regions)
     t = math.exp(-float(M) ** thresholds.rho2)
-    raw = []
-    seen = set()
-    for region in family:
-        for site in region.members():
-            key = site
-            if key in seen:
-                continue
-            seen.add(key)
-            kw = float(np.dot(site.k, np.asarray(omega)))
-            m2 = mu(site.n, params) ** 2
-            lo = math.sqrt(max(m2 - t, 0.0))
-            hi = math.sqrt(m2 + t)
-            for sign in (1.0, -1.0):
-                # |sigma + kw| in [lo, hi]
-                raw.append((sign * lo - kw, sign * hi - kw) if sign > 0
-                           else (sign * hi - kw, sign * lo - kw))
-    raw.sort()
+    vecs = np.unique(np.concatenate([r.vectors() for r in family]), axis=0)
+    omega = np.asarray(omega, dtype=float)
+    kw = _per_distinct(vecs[:, :params.b], lambda k: float(np.dot(k, omega)))
+    m2 = _per_distinct(vecs[:, params.b:], lambda n: mu(n, params) ** 2)
+    lo, hi = np.sqrt(np.maximum(m2 - t, 0.0)), np.sqrt(m2 + t)
+    # |sigma + kw| in [lo, hi]
+    raw = sorted(zip(np.concatenate([lo - kw, -hi - kw]).tolist(),
+                     np.concatenate([hi - kw, -lo - kw]).tolist()))
     merged = []
     for lo, hi in raw:
         if merged and lo <= merged[-1][1]:
@@ -616,11 +622,10 @@ def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
     """
     idx = index_map(spec.region)
     matrix = assemble(spec)
-    n = idx.size
-    b_idx = sorted({idx.index_of(s) for s in b_star})
-    c_idx = [i for i in range(n) if i not in set(b_idx)]
+    b_idx = np.unique([idx.index_of(s) for s in b_star]).astype(np.intp)
+    c_idx = np.setdiff1d(np.arange(idx.size), b_idx)
 
-    if c_idx:
+    if len(c_idx):
         hcc = matrix[np.ix_(c_idx, c_idx)]
         eig = np.abs(np.linalg.eigvalsh(hcc))
         if eig.min() < SINGULARITY_RTOL * max(eig.max(), 1.0):
@@ -632,7 +637,7 @@ def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
         gcc = np.zeros((0, 0))
         gc_norm = 0.0
 
-    if b_idx:
+    if len(b_idx):
         hbb = matrix[np.ix_(b_idx, b_idx)]
         hbc = matrix[np.ix_(b_idx, c_idx)]
         schur = hbb - hbc @ gcc @ hbc.T
@@ -657,19 +662,16 @@ def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
     )
 
 
-def _space_block(space_sites: Sequence, params: ModelParams,
-                 diagonal) -> np.ndarray:
-    """diag(diagonal(n)) + eps*Delta on a list of space sites, dense."""
-    sites = [tuple(int(x) for x in n) for n in space_sites]
-    pos = {s: i for i, s in enumerate(sites)}
-    out = np.zeros((len(sites), len(sites)))
-    offs = neighbor_offsets(params.d)
-    for s, i in pos.items():
-        out[i, i] = diagonal(s)
-        for off in offs:
-            j = pos.get(tuple(x + o for x, o in zip(s, off)))
-            if j is not None:
-                out[i, j] += params.eps
+def _space_block(space_rows: np.ndarray, eps: float,
+                 diagonal: np.ndarray) -> np.ndarray:
+    """diag(diagonal) + eps*Delta on distinct space sites (rows of an int
+    array), dense."""
+    idx = RegionIndex(space_rows, 0)
+    offs = np.array(neighbor_offsets(space_rows.shape[1]))
+    nb = idx.lookup(space_rows[None, :, :] + offs[:, None, :])   # (2d, N)
+    _, i = np.nonzero(nb >= 0)
+    out = np.diag(diagonal)
+    out[i, nb[nb >= 0]] += eps
     return out
 
 
@@ -692,7 +694,9 @@ def block_spectral_bound(k: Sequence[int], space_sites: Sequence,
     max_l |sigma + k.omega - sqrt(zeta_l)|^-1 |sigma + k.omega + sqrt(zeta_l)|^-1
     for positive zeta_l.  Cross-checked against direct inversion.
     """
-    block = _space_block(space_sites, params, lambda n: mu(n, params) ** 2)
+    rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
+    block = _space_block(rows, params.eps,
+                         _per_distinct(rows, lambda n: mu(n, params) ** 2))
     nn = len(block)
     zetas = np.linalg.eigvalsh(block)
     shift = float(sigma + np.dot(k, np.asarray(omega, dtype=float)))
@@ -720,13 +724,11 @@ def qp_schrodinger_matrix(space_sites: Sequence, energy: float, theta: float,
     ``theta`` follows the package convention: supplied in [0,1], scaled by
     2*pi internally.
     """
+    rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
     alpha = np.asarray(params.alpha)
-
-    def diagonal(n):
-        phase = 2.0 * math.pi * (float(np.dot(n, alpha)) + theta)
-        return math.cos(phase) + params.m - energy
-
-    return _space_block(space_sites, params, diagonal)
+    diagonal = [math.cos(2.0 * math.pi * (float(np.dot(n, alpha)) + theta))
+                + params.m - energy for n in rows.tolist()]
+    return _space_block(rows, params.eps, np.array(diagonal))
 
 
 def qp_schrodinger_green(space_region: Union[RegionSpec, Sequence], energy: float,
@@ -740,39 +742,22 @@ def qp_schrodinger_green(space_region: Union[RegionSpec, Sequence], energy: floa
     Singular for near-singular instances; the verdict is per (E, theta).
     """
     if isinstance(space_region, RegionSpec):
-        sites = [s.n for s in space_region.members()]
+        rows = space_region.vectors()[:, space_region.b:]
         n_scale = float(space_region.diameter()) if scale is None else float(scale)
     else:
-        sites = [tuple(int(x) for x in n) for n in space_region]
-        if scale is None:
-            arr = np.array(sites)
-            n_scale = float((arr.max(axis=0) - arr.min(axis=0)).max())
-        else:
-            n_scale = float(scale)
-    matrix = qp_schrodinger_matrix(sites, energy, theta, params)
+        rows = np.asarray(space_region, dtype=int).reshape(len(space_region), -1)
+        n_scale = float((rows.max(axis=0) - rows.min(axis=0)).max()) \
+            if scale is None else float(scale)
+    matrix = qp_schrodinger_matrix(rows, energy, theta, params)
     # eps = 0 decouples the sites entirely: the required rate is infinite and
     # the (identically zero) off-diagonal satisfies it.
     rate = 0.5 * abs(math.log(params.eps)) if params.eps > 0.0 else math.inf
-    site_objs = [Site((), n) for n in sites]
-    report = _green_report(matrix, site_objs, n_scale, thresholds,
+    report = _green_report(matrix, rows, n_scale, thresholds,
                            params.gamma, decay_rate=rate)
     # replace the generic norm bound exp(N^rho2) by exp(sqrt(N))
     bound = math.exp(math.sqrt(n_scale))
-    return GreenReport(
-        scale=report.scale,
-        operator_norm=report.operator_norm,
-        norm_bound=bound,
-        norm_ok=bool(report.operator_norm <= bound),
-        decay_rate_fit=report.decay_rate_fit,
-        decay_fit_residual=report.decay_fit_residual,
-        decay_ok=report.decay_ok,
-        decay_rate_required=rate,
-        min_distance=report.min_distance,
-        n_far_pairs=report.n_far_pairs,
-        smallest_singular_value=report.smallest_singular_value,
-        condition=report.condition,
-        inverse_residual=report.inverse_residual,
-    )
+    return dataclasses.replace(report, norm_bound=bound,
+                               norm_ok=bool(report.operator_norm <= bound))
 
 
 def qp_schrodinger_theta_scan(N: int, energy: float, params: ModelParams,
@@ -782,7 +767,7 @@ def qp_schrodinger_theta_scan(N: int, energy: float, params: ModelParams,
 
     rho4 is a free report parameter: the comparison value is exp(-N^rho4).
     """
-    sites = box_vectors((0,) * params.d, (N // 2,) * params.d).tolist()
+    sites = box_vectors((0,) * params.d, (N // 2,) * params.d)
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     bad = 0
     for theta in theta_grid:

@@ -86,6 +86,14 @@ class CoefficientField:
             if any(k):
                 yield tuple(-x for x in k), n, v
 
+    def as_arrays(self) -> tuple:
+        """(vectors, values) over the full lattice support, in the order of
+        :meth:`full_items`: rows (k | n) of an int array and their values."""
+        items = list(self.full_items())
+        return (np.array([k + n for k, n, _v in items], dtype=int).reshape(
+                    len(items), self.b + self.d),
+                np.array([v for _k, _n, v in items], dtype=float))
+
     def multiplicity(self, k: tuple) -> int:
         return 2 if any(k) else 1
 
@@ -320,6 +328,5 @@ def weighted_tail_norm(q: CoefficientField, rho: float, S: ResonantSet) -> float
     for k, n, v in q.full_items():
         if Site(k, n) in S:
             continue
-        order = max((abs(x) for x in k), default=0) + max((abs(x) for x in n), default=0)
-        out += abs(v) * math.exp(rho * order)
+        out += abs(v) * math.exp(rho * Site(k, n).order)
     return out

@@ -32,7 +32,7 @@ from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
                      OracleDiverged, OracleTooLarge, PreconditionFailed,
                      ResonantBox)
 from .lattice import (ResonantSet, Site, canonical_k, cube, index_map,
-                      neighbor_offsets, unit_k)
+                      neighbor_offsets, sites_of, unit_k)
 from .linop import OperatorSpec, assemble, assemble_sparse
 from .nonlin import (CoefficientField, ResidualReport, convolve_power,
                      linearize, pde_residual, residual, weighted_tail_norm)
@@ -225,14 +225,16 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
             f"stage {stage} box holds ~{expected} sites, above "
             f"max_box_sites={MAX_BOX_SITES}; lower M or r_max")
     idx = index_map(region)
-    sites = idx.sites
-    n_sites = len(sites)
+    n_sites = idx.size
 
     kernel = linearize(q, params.p) if params.delta != 0.0 else None
     spec = OperatorSpec(region, 0.0, tuple(float(w) for w in omega), params, kernel)
 
-    f_field = residual(q, omega, params).field
-    rhs = -np.array([f_field.get(site.k, site.n) for site in sites])
+    f_vecs, f_vals = residual(q, omega, params).field.as_arrays()
+    at = idx.lookup(f_vecs)
+    rhs = np.zeros(n_sites)
+    rhs[at[at >= 0]] = f_vals[at >= 0]
+    rhs = -rhs
 
     if n_sites <= config.dense_size_limit:
         matrix = assemble(spec)
@@ -258,23 +260,26 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
 
     cond, null_dir = _condition_estimate(solve_fn, matrix_norm, n_sites)
     if not np.isfinite(cond) or cond > config.max_condition:
-        worst = sites[int(np.argmax(np.abs(null_dir)))]
+        worst = idx.site_of(int(np.argmax(np.abs(null_dir))))
         raise ResonantBox(
             f"stage {stage} box (radius {box}) is resonant: condition estimate "
             f"{cond:.3e} at site {worst}", stage=stage, condition=float(cond),
             site=worst)
 
     x = solve_fn(rhs)
-    entries = {}
-    for i, site in enumerate(sites):
-        k, n = site.k, site.n
-        if canonical_k(k) != k:
-            continue
-        j = idx.get((tuple(-v for v in k), n)) if any(k) else None
-        val = 0.5 * (x[i] + x[j]) if j is not None else x[i]
-        if val != 0.0:
-            entries[(k, n)] = float(val)
-    increment = CoefficientField.from_entries(entries, params.b, params.d)
+    # canonical rows (k = 0 or first nonzero entry of k positive), averaged
+    # with their mirror (-k, n) where it is in the box
+    vecs, b = idx.vectors, params.b
+    k = vecs[:, :b]
+    lead = k[np.arange(n_sites), (k != 0).argmax(axis=1)]
+    canon = np.flatnonzero(lead >= 0)
+    mirror = idx.lookup(np.hstack([-k[canon], vecs[canon, b:]]))
+    val = x[canon]
+    pair = (lead[canon] > 0) & (mirror >= 0)
+    val[pair] = 0.5 * (val[pair] + x[mirror[pair]])
+    keep = val != 0.0
+    increment = CoefficientField.from_entries(
+        zip(sites_of(vecs[canon[keep]], b), val[keep].tolist()), b, params.d)
     return PStepResult(increment=increment, box_radius=box, box_sites=n_sites,
                        condition_estimate=float(cond))
 
@@ -293,9 +298,7 @@ def decay_fit(q: CoefficientField, resonant_set: Optional[ResonantSet] = None,
             continue
         if abs(v) <= floor:
             continue
-        order = max((abs(x) for x in k), default=0) + \
-            max((abs(x) for x in n), default=0)
-        xs.append(float(order))
+        xs.append(float(Site(k, n).order))
         ys.append(math.log(abs(v)))
     if len(xs) < min_points or len(set(xs)) < 2:
         raise InsufficientData(

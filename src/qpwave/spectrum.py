@@ -16,6 +16,7 @@ rather than gated on unknown constants.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -104,14 +105,10 @@ class ModelParams:
         return ResonantSet(self.anchors, self.b, self.d)
 
     def with_m(self, m: float) -> "ModelParams":
-        return ModelParams(self.b, self.d, self.p, float(m), self.eps, self.delta,
-                           self.alpha, self.theta0, self.anchors, self.amplitudes,
-                           self.gamma, self.k_exponent)
+        return dataclasses.replace(self, m=float(m))
 
     def with_couplings(self, eps: float, delta: float) -> "ModelParams":
-        return ModelParams(self.b, self.d, self.p, self.m, float(eps), float(delta),
-                           self.alpha, self.theta0, self.anchors, self.amplitudes,
-                           self.gamma, self.k_exponent)
+        return dataclasses.replace(self, eps=float(eps), delta=float(delta))
 
 
 def torus_distance(x) -> np.ndarray:
@@ -172,6 +169,28 @@ def _enumerate_nonzero(limit: int, dim: int):
     return vecs[keep]
 
 
+def _dc_vectors(alpha: Sequence[float], L: int, c_star: float,
+                d: Optional[int]) -> tuple:
+    """(alpha as an array, d, every 0 < |n| <= 2L) once L and c_star check."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    if not 0.0 < c_star < 1.0:
+        raise ValueError("c_star must lie in (0,1)")
+    alpha = np.asarray(alpha, dtype=float)
+    dd = len(alpha) if d is None else d
+    return alpha, dd, _enumerate_nonzero(2 * L, dd)
+
+
+def _dc_certificate(kind: str, inputs: dict, vecs: np.ndarray,
+                    attained: np.ndarray, threshold) -> Certificate:
+    """attained >= threshold on every vector; the three tightest witness."""
+    slack = attained - threshold
+    witnesses = tuple((tuple(int(x) for x in vecs[i]), float(attained[i]))
+                      for i in np.argsort(slack)[:3])
+    return Certificate(kind=kind, inputs=inputs, margin=float(slack.min()),
+                       witnesses=witnesses)
+
+
 def check_alpha_dc(alpha: Sequence[float], L: int, c_star: float,
                    mode: str = "fixed", d: Optional[int] = None) -> Certificate:
     """Diophantine certificate for alpha over all 0 < |n| <= 2L.
@@ -179,13 +198,7 @@ def check_alpha_dc(alpha: Sequence[float], L: int, c_star: float,
     ``mode="fixed"`` checks ||(n/2).alpha||_T >= c_star.  ``mode="power"``
     checks min over the full and half multiples of ||.||_T >= c_star/|n|^(2d).
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if not 0.0 < c_star < 1.0:
-        raise ValueError("c_star must lie in (0,1)")
-    alpha = np.asarray(alpha, dtype=float)
-    dd = len(alpha) if d is None else d
-    vecs = _enumerate_nonzero(2 * L, dd)
+    alpha, dd, vecs = _dc_vectors(alpha, L, c_star, d)
     dots = vecs @ (TWO_PI * alpha)
     if mode == "fixed":
         attained = torus_distance(0.5 * dots)
@@ -195,17 +208,10 @@ def check_alpha_dc(alpha: Sequence[float], L: int, c_star: float,
         thresholds = c_star / (np.abs(vecs).max(axis=1).astype(float) ** (2 * dd))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    slack = attained - thresholds
-    order = np.argsort(slack)[:3]
-    witnesses = tuple((tuple(int(x) for x in vecs[i]), float(attained[i]))
-                      for i in order)
-    return Certificate(
-        kind="alpha_dc",
-        inputs={"alpha": tuple(float(a) for a in alpha), "L": L,
-                "c_star": c_star, "mode": mode},
-        margin=float(slack.min()),
-        witnesses=witnesses,
-    )
+    return _dc_certificate(
+        "alpha_dc", {"alpha": tuple(float(a) for a in alpha), "L": L,
+                     "c_star": c_star, "mode": mode},
+        vecs, attained, thresholds)
 
 
 def check_theta_dc(theta0: float, alpha: Sequence[float], L: int, c_star: float,
@@ -215,27 +221,14 @@ def check_theta_dc(theta0: float, alpha: Sequence[float], L: int, c_star: float,
     ``mode="power"`` uses the scale-coupled threshold L^(-3d) instead of
     c_star.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if not 0.0 < c_star < 1.0:
-        raise ValueError("c_star must lie in (0,1)")
-    alpha = np.asarray(alpha, dtype=float)
-    dd = len(alpha) if d is None else d
-    vecs = _enumerate_nonzero(2 * L, dd)
+    alpha, dd, vecs = _dc_vectors(alpha, L, c_star, d)
     vecs = np.vstack([np.zeros((1, dd), dtype=int), vecs])
     attained = torus_distance(TWO_PI * theta0 + 0.5 * (vecs @ (TWO_PI * alpha)))
-    threshold = c_star if mode == "fixed" else float(L) ** (-3 * dd)
-    slack = attained - threshold
-    order = np.argsort(slack)[:3]
-    witnesses = tuple((tuple(int(x) for x in vecs[i]), float(attained[i]))
-                      for i in order)
-    return Certificate(
-        kind="theta_dc",
-        inputs={"theta0": float(theta0), "alpha": tuple(float(a) for a in alpha),
-                "L": L, "c_star": c_star, "mode": mode},
-        margin=float(slack.min()),
-        witnesses=witnesses,
-    )
+    return _dc_certificate(
+        "theta_dc", {"theta0": float(theta0),
+                     "alpha": tuple(float(a) for a in alpha), "L": L,
+                     "c_star": c_star, "mode": mode},
+        vecs, attained, c_star if mode == "fixed" else float(L) ** (-3 * dd))
 
 
 def separation_certificate(params: ModelParams, L: int, c_star: float) -> Certificate:
@@ -621,48 +614,38 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     # (3) shifted, over the cube of radius L minus the resonant set
     kcube = np.vstack([np.zeros((1, params.b), dtype=int),
                        _enumerate_nonzero(L, params.b)])
-    excluded = {}                                     # k -> resonant n's
-    for site in params.resonant_set().members:
-        excluded.setdefault(site.k, []).append(site.n)
     cond3 = np.ones(nm, dtype=bool)
     for kv in kcube:
         rows = np.ones(len(space), dtype=bool)
-        for n in excluded.get(tuple(int(x) for x in kv), ()):
-            rows &= (space != n).any(axis=1)
+        if np.abs(kv).sum() == 1:    # k = +-e_l: (k, n^(l)) is resonant
+            rows[anchor_rows[int(np.argmax(kv != 0))]] = False
         kw = kv.astype(float) @ om                    # (nm,)
         cond3 &= (np.abs(kw + mus[rows]) > eta).all(axis=0)
     fails["shifted"] = float(1.0 - cond3.mean())
     ok &= cond3
 
-    # (4) differences over the admissible pairs
-    anchor_set = {tuple(a) for a in params.anchors}
-    anchor_index = {tuple(a): l for l, a in enumerate(params.anchors, start=1)}
+    # (4) differences over the admissible pairs, one row i at a time so that
+    # no temporary exceeds (Ns, nm)
+    anchored = np.isin(np.arange(len(space)), anchor_rows)
     kall = np.vstack([np.zeros((1, params.b), dtype=int), kvecs])
+    kws = [kv.astype(float) @ om for kv in kall]      # each (nm,)
     cond4 = np.ones(nm, dtype=bool)
-    pair_rows = []
-    anchored_pairs = []
     for i in range(len(space)):
-        for j in range(len(space)):
-            if i == j:
-                continue
-            ni, nj = tuple(space[i]), tuple(space[j])
-            if ni in anchor_set and nj in anchor_set:
-                anchored_pairs.append((i, j))
-            else:
-                pair_rows.append((i, j))
-    if pair_rows:
-        diffs = np.stack([mus[i] - mus[j] for i, j in pair_rows])  # (Np, nm)
-        for kv in kall:
-            kw = kv.astype(float) @ om
+        free = np.arange(len(space)) != i
+        if anchored[i]:
+            free &= ~anchored
+        diffs = mus[i] - mus[free]                    # (pairs of row i, nm)
+        for kw in kws:
             cond4 &= (np.abs(kw[None, :] + diffs) > eta).all(axis=0)
-    for i, j in anchored_pairs:
-        l, lp = anchor_index[tuple(space[i])], anchor_index[tuple(space[j])]
-        e = np.array(unit_k(l, params.b)) - np.array(unit_k(lp, params.b))
-        for kv in kall:
-            if (kv + e == 0).all():
-                continue  # identically-zero combination, excluded
-            kw = kv.astype(float) @ om
-            cond4 &= np.abs(kw + mus[i] - mus[j]) > eta
+    for l, i in enumerate(anchor_rows, start=1):
+        for lp, j in enumerate(anchor_rows, start=1):
+            if l == lp:
+                continue
+            e = np.array(unit_k(l, params.b)) - np.array(unit_k(lp, params.b))
+            for kv, kw in zip(kall, kws):
+                if (kv + e == 0).all():
+                    continue  # identically-zero combination, excluded
+                cond4 &= np.abs(kw + mus[i] - mus[j]) > eta
     fails["difference"] = float(1.0 - cond4.mean())
     ok &= cond4
 

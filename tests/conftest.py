@@ -6,6 +6,8 @@ from qpwave import ModelParams
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 PRESET_THETA0 = 0.3455
+# per space axis; (g, g) would not be Diophantine: n = (1, -1) gives n.alpha = 0
+GOLDEN_ALPHA = (GOLDEN_MEAN, math.sqrt(2.0) - 1.0)
 
 
 def golden_params(b=1, d=1, p=2, m=2.5, eps=1e-3, delta=1e-3, anchors=None,
@@ -17,7 +19,7 @@ def golden_params(b=1, d=1, p=2, m=2.5, eps=1e-3, delta=1e-3, anchors=None,
     if amplitudes is None:
         amplitudes = (1.0,) * b
     return ModelParams(b=b, d=d, p=p, m=m, eps=eps, delta=delta,
-                       alpha=(GOLDEN_MEAN,) * d, theta0=PRESET_THETA0,
+                       alpha=GOLDEN_ALPHA[:d], theta0=PRESET_THETA0,
                        anchors=anchors, amplitudes=amplitudes, gamma=gamma)
 
 

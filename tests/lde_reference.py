@@ -36,7 +36,7 @@ def reference_lde_scan(M, params, omega, kernel, sigma_grid,
         mu2 = np.array([mu(s.n, params) ** 2 for s in sites])
         base_offdiag = base - np.diag(np.diag(base))
         diag_rest = np.diag(base) - (mu2 - kw**2)
-        dists = _pair_distances(sites)
+        dists = _pair_distances(np.array([s.vector for s in sites]))
         far = dists >= min_dist
         np.fill_diagonal(far, False)
         decay_bound = np.exp(-rate_req * dists)

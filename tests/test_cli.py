@@ -71,6 +71,18 @@ class TestConfig:
         assert run(["certify", "--config", path, "--out", workdir]) == \
             cli.EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("block",
+                             ["model", "solver", "cert", "scan", "output"])
+    def test_block_that_is_not_an_object_is_bad_config(self, workdir,
+                                                       monkeypatch, block):
+        cfg = cli.default_config()
+        cfg[block] = None
+        path = workdir / "null-block.txt"
+        cli.write_file(path, cfg)
+        monkeypatch.chdir(workdir)   # no --out: "output" names the directory
+        assert run(["certify", "--config", path]) == cli.EXIT_BAD_CONFIG
+        assert not (workdir / "qpwave-out").exists()
+
     def test_malformed_config_exit_code(self, workdir):
         path = workdir / "broken.txt"
         path.write_text("{not valid json]")

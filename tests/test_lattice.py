@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from qpwave import (EmptyRegion, InvalidAnchors, OutOfRegion, RegionSpec,
                     ResonantSet, Site, cube, index_map, region_members)
-from qpwave.lattice import canonical_k, neighbor_offsets, sup_distance
+from qpwave.lattice import box_vectors, canonical_k, neighbor_offsets
 
 
 def brute_force_members(center, w, z, b, d, excluded=None):
@@ -43,9 +43,6 @@ class TestSite:
         assert canonical_k((-1, 2)) == (1, -2)
         assert canonical_k((0, 0)) == (0, 0)
         assert canonical_k((0, -1)) == (0, 1)
-
-    def test_sup_distance(self):
-        assert sup_distance(Site((0,), (0,)), Site((2,), (-1,))) == 2
 
     def test_neighbor_offsets_axis_then_sign(self):
         assert neighbor_offsets(1) == [(-1,), (1,)]
@@ -189,3 +186,9 @@ def test_region_invariants(b, d, w, z, use_excluded, ck, cn):
         idx = index_map(spec)
         for i in range(idx.size):
             assert idx.index_of(idx.site_of(i)) == i
+        # the base box and a margin of one around it: the points the shift
+        # or the excluded set removed, and points outside the bounding box
+        row = {s.vector: i for i, s in enumerate(mem)}
+        probe = box_vectors(center.vector, tuple(wi + 1 for wi in w))
+        got = idx.lookup(probe)
+        assert got.tolist() == [row.get(tuple(v), -1) for v in probe.tolist()]

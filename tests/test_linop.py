@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpwave import (AsymmetricKernel, CoefficientField, OperatorSpec, Singular,
@@ -13,8 +13,10 @@ from qpwave import (AsymmetricKernel, CoefficientField, OperatorSpec, Singular,
 from qpwave.linop import (default_sigma_window, diagonal_bad_intervals,
                           elementary_region_family, qp_schrodinger_matrix,
                           qp_schrodinger_theta_scan)
+from qpwave.lattice import RegionSpec, Site, box_vectors, canonical_k
 from qpwave.solver import initial_field
 
+from assembly_reference import reference_assemble, reference_assemble_sparse
 from conftest import golden_params
 from lde_reference import reference_lde_scan
 
@@ -89,6 +91,50 @@ class TestAssemble:
         spec = op_spec(params, kernel=bad)
         with pytest.raises(AsymmetricKernel):
             assemble(spec)
+
+
+def random_lattice_kernel(seed, b, d, form):
+    """A random symmetric kernel on |k| <= 2, |n| <= 3, as a field or as the
+    full {(k, n): value} mapping; some n carry no k = 0 entry."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for k in box_vectors((0,) * b, (2,) * b).tolist():
+        if tuple(k) != canonical_k(tuple(k)):
+            continue
+        for n in box_vectors((0,) * d, (3,) * d).tolist():
+            if rng.random() < 0.3:
+                entries[(tuple(k), tuple(n))] = float(rng.normal())
+    field = CoefficientField.from_entries(entries, b, d)
+    if form == "dict":
+        return {(k, n): v for k, n, v in field.full_items()}
+    return field
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 2), d=st.integers(1, 2),
+       ck=st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+       cn=st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+       w=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       z=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+       use_excluded=st.booleans(),
+       eps=st.sampled_from([0.0, 0.05]), delta=st.sampled_from([0.0, 0.03]),
+       form=st.sampled_from(["none", "field", "dict"]),
+       seed=st.integers(0, 2**32 - 1),
+       sigma=st.floats(-3.0, 3.0))
+def test_array_assembly_is_bitwise_the_site_loop(b, d, ck, cn, w, z,
+                                                 use_excluded, eps, delta,
+                                                 form, seed, sigma):
+    dim = b + d
+    p = golden_params(b=b, d=d, eps=eps, delta=delta)
+    region = RegionSpec(Site(tuple(ck[:b]), tuple(cn[:d])), tuple(w[:dim]),
+                        tuple(z[:dim]), b, d,
+                        p.resonant_set() if use_excluded else None)
+    assume(region.size() > 0)
+    kernel = None if form == "none" else random_lattice_kernel(seed, b, d, form)
+    spec = op_spec(p, region=region, sigma=sigma, kernel=kernel)
+    assert assemble(spec).tobytes() == reference_assemble(spec).tobytes()
+    assert assemble_sparse(spec).toarray().tobytes() == \
+        reference_assemble_sparse(spec).toarray().tobytes()
 
 
 class TestGreen:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ class TestDiophantine:
         fixed = check_theta_dc(PRESET_THETA0, (GOLDEN_MEAN,), L=5,
                                c_star=0.5, mode="fixed")
         assert not fixed.passed
+
+
+    def test_equal_components_refused_fixture_alpha_certified(self):
+        # n = (1, -1) annihilates (g, g); the d = 2 fixture pairs g with
+        # sqrt(2) - 1 and passes at the scales the d = 2 tests use
+        bad = check_alpha_dc((GOLDEN_MEAN, GOLDEN_MEAN), L=1, c_star=1e-4)
+        assert not bad.passed
+        assert bad.witnesses[0][1] == 0.0
+        assert abs(sum(bad.witnesses[0][0])) == 0
+        alpha = golden_params(d=2).alpha
+        for L in (2, 4, 5):
+            assert check_alpha_dc(alpha, L=L, c_star=0.008).passed
+            assert check_alpha_dc(alpha, L=L, c_star=float(L) ** -6).passed
 
 
 class TestSeparation:
@@ -348,6 +362,21 @@ class TestAdmissibleMScan:
         wide = admissible_m_scan(p, L=4, eta=1e-2, m_grid=grid)
         narrow = admissible_m_scan(p, L=4, eta=1e-4, m_grid=grid)
         assert set(wide.certified_m).issubset(set(narrow.certified_m))
+
+    def test_difference_condition_walks_pairs_row_by_row(self):
+        # peak memory stays well below one (Ns^2, nm) array of the pair
+        # differences (Ns = 81 space sites at d = 2, L = 4)
+        p = golden_params(d=2)
+        n_sites, nm = 9 ** 2, 201
+        tracemalloc.start()
+        try:
+            scan = admissible_m_scan(p, L=4, eta=1e-3,
+                                     m_grid=np.linspace(2.0, 3.0, nm))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "difference" in scan.condition_fail_fractions
+        assert peak < n_sites**2 * nm * 8 / 4
 
     def test_theoretical_bound_vacuous_at_desk_scale(self):
         p = golden_params()
