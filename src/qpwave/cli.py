@@ -474,7 +474,9 @@ def run_report(solution_path: Path) -> int:
         quality = obj["quality"]
         omega = obj["omega"]
         omega_ref = obj["omega0"]
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        cert = obj.get("config", {}).get("cert", {}).items()
+    except (OSError, KeyError, ValueError, AttributeError,
+            json.JSONDecodeError) as exc:
         print(f"error: malformed solution file: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     dev = max(abs(w - w0) for w, w0 in zip(omega, omega_ref))
@@ -491,8 +493,7 @@ def run_report(solution_path: Path) -> int:
     print(f"anchors exact    : {quality['anchors_exact']}")
     print(f"support bound    : {quality['support_bound']}")
     print(f"lattice entries  : {quality['lattice_entries']}")
-    cfg = obj.get("config", {})
-    digest = ", ".join(f"{k}={v}" for k, v in sorted(cfg.get("cert", {}).items()))
+    digest = ", ".join(f"{k}={v}" for k, v in sorted(cert))
     print(f"cert scales      : {digest}")
     return EXIT_OK
 

@@ -59,8 +59,10 @@ class FrequencyCollapse(QPWaveError):
 class ResonantBox(QPWaveError):
     """A restricted linearized operator is singular or too ill-conditioned.
 
-    Carries the ``stage``, the condition estimate and the lattice site where
-    the near-null vector is largest.
+    Carries the ``stage``, the condition estimate (inf when none was made)
+    and a lattice site: where the inverse column found by the estimate is
+    largest, or the resonant site outside the box; None when the box is
+    exactly singular.
     """
 
     def __init__(self, message: str, stage: int = -1,

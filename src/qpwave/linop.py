@@ -6,11 +6,11 @@ Laplacian coupling l1-adjacent space sites at equal k, and the Toeplitz
 convolution T_phi coupling equal-n sites through a symmetric kernel phi.
 Its entries are built as arrays over the rows of the region's
 ``lattice.index_map``, whose lookup finds every neighbour and kernel offset
-of an array of sites at once; they are laid out dense (``assemble``) or as
-CSR (``assemble_sparse``), and which one a caller factors is the caller's
-choice (the solver's ``SolverConfig.dense_size_limit``).  Green's function
-reports carry the operator norm, a fitted off-diagonal decay rate and pass
-flags against exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
+of an array of sites at once; they are laid out dense (``assemble``, for
+the Green's function diagnostics and the Schur complement) or as CSR
+(``assemble_sparse``, for the solver's P-step).  Green's function reports
+carry the operator norm, a fitted off-diagonal decay rate and pass flags
+against exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
 Scans over the spectral shift classify each grid sigma as good or bad for a
 subsampled family of translated elementary regions, reusing each region's
 assembled entries; bad fractions are reported against exp(-M^rho1).
@@ -665,8 +665,10 @@ def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
 def _space_block(space_rows: np.ndarray, eps: float,
                  diagonal: np.ndarray) -> np.ndarray:
     """diag(diagonal) + eps*Delta on distinct space sites (rows of an int
-    array), dense."""
+    array), dense; raises ValueError when a site repeats."""
     idx = RegionIndex(space_rows, 0)
+    if (idx.lookup(space_rows) != np.arange(len(space_rows))).any():
+        raise ValueError("space sites must be distinct")
     offs = np.array(neighbor_offsets(space_rows.shape[1]))
     nb = idx.lookup(space_rows[None, :, :] + offs[:, None, :])   # (2d, N)
     _, i = np.nonzero(nb >= 0)

@@ -9,7 +9,10 @@ damped) update of omega^2.  Each stage first applies a Q-step, then one
 smoothed Newton step delta_q = -G * F(q) with G the inverse of the
 linearized operator restricted to the stage box minus the resonant set,
 then a second Q-step so that, undamped, the resonant rows vanish
-identically in the reported residual.
+identically in the reported residual.  The increment is even in k, so G is
+applied by one sparse LU of the operator folded onto the even subspace,
+and a Higham-Tisseur 1-norm condition estimate of that folded operator
+decides whether the box is resonant.
 
 A plain dense Newton iteration on the full truncated system (q off the
 resonant set plus omega, no staging) serves as an independent validation
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
@@ -33,7 +36,8 @@ from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
                      ResonantBox)
 from .lattice import (ResonantSet, Site, canonical_k, cube, index_map,
                       neighbor_offsets, sites_of, unit_k)
-from .linop import OperatorSpec, assemble, assemble_sparse
+from .linop import OperatorSpec, assemble_sparse
+from .linop import assemble  # noqa: F401  perfbench/spans.py wraps solver.assemble
 from .nonlin import (CoefficientField, ResidualReport, convolve_power,
                      linearize, pde_residual, residual, weighted_tail_norm)
 from .spectrum import Certificate, ModelParams, mu, omega0
@@ -43,13 +47,12 @@ MAX_BOX_SITES = 3_000_000  # admits the full default ladder M=3, r<=6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Staging, tolerances and linear-backend selection."""
+    """Staging, tolerances and the resonant-box condition gate."""
 
     M: int = 3                      # box growth base; stage r box radius M^r
     r_max: int = 6
     residual_floor: float = 1e-12
     q_update_damping: float = 1.0   # fraction of the Q update applied per Q-step
-    dense_size_limit: int = 5000    # dense factorization up to this size
     max_condition: float = 1e14
     coupling_limit: float = 0.1     # largest eps+delta the stage scheme accepts
 
@@ -59,7 +62,6 @@ class SolverConfig:
                 ("residual_floor", self.residual_floor > 0.0, "> 0"),
                 ("q_update_damping", 0.0 < self.q_update_damping <= 1.0,
                  "in (0, 1]"),
-                ("dense_size_limit", self.dense_size_limit >= 0, ">= 0"),
                 ("max_condition", self.max_condition >= 1.0, ">= 1"),
                 ("coupling_limit", self.coupling_limit > 0.0, "> 0")):
             if not ok:
@@ -177,22 +179,6 @@ def q_step(q: CoefficientField, omega_current: Sequence[float],
     return np.sqrt(om_sq)
 
 
-def _condition_estimate(solve_fn, matrix_norm: float, size: int,
-                        sweeps: int = 8):
-    """(condition estimate, near-null direction) via inverse power iteration."""
-    v = np.ones(size) / math.sqrt(size)
-    inv_norm = 0.0
-    with np.errstate(all="ignore"):
-        for _ in range(sweeps):
-            v = solve_fn(v)
-            nrm = float(np.linalg.norm(v))
-            if not np.isfinite(nrm) or nrm == 0.0:
-                return np.inf, v
-            inv_norm = nrm
-            v = v / nrm
-    return matrix_norm * inv_norm, v
-
-
 @dataclass(frozen=True)
 class PStepResult:
     increment: CoefficientField
@@ -206,10 +192,13 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
     """One smoothed Newton increment on the stage box minus the resonant set.
 
     Solves (D(0) + eps*Delta + delta*T_q) dq = -F(q) restricted to the cube
-    of radius M^stage with the resonant set removed; the returned increment
-    is exactly symmetric in k and vanishes on the resonant set.  Raises
-    ResonantBox when the restricted operator is singular or its condition
-    estimate exceeds config.max_condition.
+    of radius M^stage with the resonant set removed.  The cube, the resonant
+    set and the operator are symmetric under k -> -k and F(q) is even, so
+    the increment is even: the system is folded onto the canonical rows
+    (k = 0 or first nonzero entry of k positive), each column added onto
+    its mirror's, and factored by sparse LU.  Raises ResonantBox when the
+    folded operator is singular or its 1-norm condition estimate exceeds
+    config.max_condition.
     """
     box = config.M ** stage
     resonant = params.resonant_set()
@@ -233,55 +222,46 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
     f_vecs, f_vals = residual(q, omega, params).field.as_arrays()
     at = idx.lookup(f_vecs)
     rhs = np.zeros(n_sites)
-    rhs[at[at >= 0]] = f_vals[at >= 0]
-    rhs = -rhs
+    rhs[at[at >= 0]] = -f_vals[at >= 0]
 
-    if n_sites <= config.dense_size_limit:
-        matrix = assemble(spec)
-        matrix_norm = float(np.abs(matrix).sum(axis=1).max())
-        try:
-            with warnings.catch_warnings():
-                # exact singularity is handled by the condition estimate below
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(matrix)
-        except sla.LinAlgError as exc:
-            raise ResonantBox(f"stage {stage} box factorization failed: {exc}",
-                              stage=stage) from exc
-        solve_fn = lambda v: sla.lu_solve((lu, piv), v)
-    else:
-        matrix = assemble_sparse(spec).tocsc()
-        matrix_norm = float(abs(matrix).sum(axis=1).max())
-        try:
-            lu_sp = spla.splu(matrix)
-        except RuntimeError as exc:
-            raise ResonantBox(f"stage {stage} box factorization failed: {exc}",
-                              stage=stage) from exc
-        solve_fn = lu_sp.solve
-
-    cond, null_dir = _condition_estimate(solve_fn, matrix_norm, n_sites)
-    if not np.isfinite(cond) or cond > config.max_condition:
-        worst = idx.site_of(int(np.argmax(np.abs(null_dir))))
-        raise ResonantBox(
-            f"stage {stage} box (radius {box}) is resonant: condition estimate "
-            f"{cond:.3e} at site {worst}", stage=stage, condition=float(cond),
-            site=worst)
-
-    x = solve_fn(rhs)
-    # canonical rows (k = 0 or first nonzero entry of k positive), averaged
-    # with their mirror (-k, n) where it is in the box
     vecs, b = idx.vectors, params.b
     k = vecs[:, :b]
     lead = k[np.arange(n_sites), (k != 0).argmax(axis=1)]
     canon = np.flatnonzero(lead >= 0)
-    mirror = idx.lookup(np.hstack([-k[canon], vecs[canon, b:]]))
-    val = x[canon]
-    pair = (lead[canon] > 0) & (mirror >= 0)
-    val[pair] = 0.5 * (val[pair] + x[mirror[pair]])
+    column = np.cumsum(lead >= 0) - 1      # a canonical row's place in canon
+    rep = idx.lookup(np.hstack([np.where(lead[:, None] < 0, -k, k), vecs[:, b:]]))
+    fold = sp.csr_matrix((np.ones(n_sites), (np.arange(n_sites), column[rep])),
+                         shape=(n_sites, canon.size))
+    matrix = (assemble_sparse(spec)[canon] @ fold).tocsc()
+    try:
+        lu = spla.splu(matrix)
+    except RuntimeError as exc:
+        raise ResonantBox(f"stage {stage} box factorization failed: {exc}",
+                          stage=stage) from exc
+
+    # Higham-Tisseur 1-norm estimate of the folded inverse.  Odd near-null
+    # directions cannot affect an even solve, so the guard measures exactly
+    # the operator that is factored.  t = 1 starts from the all-ones column
+    # only; t >= 2 draws further start columns from the global np.random,
+    # which would make the gate depend on global RNG state.
+    inverse = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=float,
+                                  rmatvec=lambda v: lu.solve(v, trans="T"))
+    inv_norm, w = spla.onenormest(inverse, t=1, compute_w=True)
+    cond = float(inv_norm * spla.norm(matrix, 1))
+    if not np.isfinite(cond) or cond > config.max_condition:
+        worst = (idx.site_of(int(canon[np.argmax(np.abs(w))]))
+                 if np.isfinite(cond) else None)
+        raise ResonantBox(
+            f"stage {stage} box (radius {box}) is resonant: condition estimate "
+            f"{cond:.3e} at site {worst}", stage=stage, condition=cond,
+            site=worst)
+
+    val = lu.solve(rhs[canon])
     keep = val != 0.0
     increment = CoefficientField.from_entries(
         zip(sites_of(vecs[canon[keep]], b), val[keep].tolist()), b, params.d)
     return PStepResult(increment=increment, box_radius=box, box_sites=n_sites,
-                       condition_estimate=float(cond))
+                       condition_estimate=cond)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qpwave import cli
+from qpwave import SolverConfig, cli
 
 
 def run(args):
@@ -39,18 +39,24 @@ class TestConfig:
             cli.solver_config(cfg)
 
     def test_config_with_legacy_seed_loads(self, workdir):
-        cfg = cli.default_config()
-        assert "seed" not in cfg
-        cfg["seed"] = 20240601
-        path = workdir / "legacy.txt"
-        cli.write_file(path, cfg)
-        assert cli.load_config(path) == cfg
+        # fields earlier versions wrote: a top-level seed and the solver's
+        # dense/sparse switch
+        for block, field, value in ((None, "seed", 20240601),
+                                    ("solver", "dense_size_limit", 5000)):
+            cfg = cli.default_config()
+            target = cfg if block is None else cfg[block]
+            assert field not in target
+            target[field] = value
+            path = workdir / "legacy.txt"
+            cli.write_file(path, cfg)
+            assert cli.load_config(path) == cfg
+            assert cli.solver_config(cfg) == SolverConfig()
 
     @pytest.mark.parametrize("field, value", [
         ("M", 1), ("r_max", 0), ("r_max", -3), ("residual_floor", 0.0),
         ("residual_floor", -1.0), ("q_update_damping", 0.0),
-        ("q_update_damping", 1.5), ("dense_size_limit", -5),
-        ("max_condition", -1.0), ("max_condition", 0.5),
+        ("q_update_damping", 1.5), ("max_condition", -1.0),
+        ("max_condition", 0.5),
         ("coupling_limit", 0.0),
     ])
     def test_out_of_range_solver_block_is_bad_config(self, workdir, field,
@@ -220,6 +226,17 @@ class TestReport:
         path = workdir / "junk.txt"
         path.write_text("{\"no\": \"quality\"}")
         assert run(["report", path]) == cli.EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("null", ["cert", "config"])
+    def test_null_config_echo_is_malformed(self, workdir, null):
+        run(["solve", "--preset", "trivial", "--out", workdir, "--force"])
+        sol = cli.read_file(workdir / "solution.txt")
+        if null == "config":
+            sol["config"] = None
+        else:
+            sol["config"]["cert"] = None
+        cli.write_file(workdir / "null.txt", sol)
+        assert run(["report", workdir / "null.txt"]) == cli.EXIT_BAD_CONFIG
 
     def test_warn_on_large_tail(self, workdir, capsys):
         run(["solve", "--preset", "small-coupling", "--out", workdir,

@@ -388,6 +388,15 @@ class TestQpSchrodinger:
         rep = qp_schrodinger_green(sites, -1.0, 0.11, params, scale=8.0)
         assert rep.norm_ok and rep.decay_ok
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_repeated_space_sites_refused(self, d):
+        # a cube with k in -3..3 lists every space site seven times
+        p = golden_params(d=d)
+        with pytest.raises(ValueError, match="distinct"):
+            qp_schrodinger_green(cube(3, 1, d), 2.2, 0.3, p)
+        with pytest.raises(ValueError, match="distinct"):
+            block_spectral_bound((1,), [(0,) * d, (0,) * d], 0.2, omega0(p), p)
+
     def test_theta_scan_bad_fraction(self, params):
         result = qp_schrodinger_theta_scan(
             12, energy=params.m + 0.3, params=params,

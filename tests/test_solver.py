@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpwave import (CoefficientField, FrequencyCollapse, InsufficientData,
                     ModelParams, NonConvergence, PreconditionFailed,
@@ -11,6 +14,7 @@ from qpwave import (CoefficientField, FrequencyCollapse, InsufficientData,
                     weighted_tail_norm)
 
 from conftest import golden_params
+from pstep_reference import reference_increment
 
 
 class TestInitialField:
@@ -132,6 +136,53 @@ class TestPStep:
         with pytest.raises(ResonantBox) as err:
             p_step(q0, omega0(p), p, 1, SolverConfig(M=3))
         assert err.value.stage == 1
+        assert err.value.condition == math.inf
+        assert err.value.site is None
+
+    @pytest.mark.parametrize("coupling", [0.0, 1e-3])
+    def test_near_resonant_box_reports_condition_and_site(self, coupling):
+        # alpha 1e-15 off 1/4: D(+-1, +-2) is of order 1e-15, not zero, so
+        # the LU succeeds and the 1-norm condition estimate trips the gate
+        p = ModelParams(b=1, d=1, p=2, m=2.5, eps=coupling, delta=coupling,
+                        alpha=(0.25 + 1e-15,), theta0=0.25, anchors=((0,),),
+                        amplitudes=(1.0,))
+        q0 = initial_field(p)
+        with pytest.raises(ResonantBox) as err:
+            p_step(q0, omega0(p), p, 1, SolverConfig(M=3))
+        assert 1e14 < err.value.condition < math.inf
+        assert err.value.site is not None
+        assert tuple(map(abs, err.value.site.k)) == (1,)
+        assert tuple(map(abs, err.value.site.n)) == (2,)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from([(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1),
+                                  (2, 2, 1)]),
+           eps=st.floats(0.0, 5e-3), delta=st.floats(0.0, 5e-3),
+           theta0=st.floats(0.0, 1.0),
+           amplitudes=st.lists(st.floats(1.0, 2.0), min_size=2, max_size=2))
+    def test_folded_increment_matches_full_box_reference(
+            self, shape, eps, delta, theta0, amplitudes):
+        b, d, stage = shape
+        p = dataclasses.replace(
+            golden_params(b=b, d=d, eps=eps, delta=delta,
+                          amplitudes=tuple(amplitudes[:b])), theta0=theta0)
+        config = SolverConfig(M=3)
+        q = initial_field(p)
+        om = q_step(q, omega0(p), p)
+        try:
+            if stage == 2:
+                q = q.add(p_step(q, om, p, 1, config).increment)
+                om = q_step(q, om, p)
+            res = p_step(q, om, p, stage, config)
+        except ResonantBox:
+            assume(False)
+        ref = reference_increment(q, om, p, stage, config)
+        got = {(k, n): v for k, n, v in res.increment.canonical_items()}
+        sup = max(map(abs, ref.values()), default=0.0)
+        for site in set(ref) | set(got):
+            assert abs(got.get(site, 0.0) - ref.get(site, 0.0)) <= 1e-12 * sup
+        for k, n, v in res.increment.canonical_items():
+            assert res.increment.get(tuple(-x for x in k), n) == v
 
     def test_box_must_contain_resonant_set(self):
         p = golden_params(anchors=((30,),))
