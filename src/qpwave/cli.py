@@ -473,28 +473,29 @@ def run_report(solution_path: Path) -> int:
         obj = read_file(solution_path)
         quality = obj["quality"]
         omega = obj["omega"]
-        omega_ref = obj["omega0"]
+        dev = max(abs(w - w0) for w, w0 in zip(omega, obj["omega0"]))
         cert = obj.get("config", {}).get("cert", {}).items()
-    except (OSError, KeyError, ValueError, AttributeError,
+        lines = [
+            f"omega            : {', '.join(format(w, '.12g') for w in omega)}",
+            f"|omega - omega0| : {dev:.6e}",
+            f"residual (l2)    : {quality['final_residual_l2']:.6e}",
+            f"residual (sup)   : {quality['final_residual_sup']:.6e}",
+            f"pde residual     : {quality['pde_residual_max']:.6e}",
+            f"weighted tail    : {quality['weighted_tail']:.6e} "
+            f"(rho = {quality['weighted_tail_rho']})"]
+        tail_thr = quality.get("tail_threshold", 0.0)
+        if tail_thr and quality["weighted_tail"] >= tail_thr:
+            lines.append(f"WARN: tail >= sqrt(eps+delta) = {tail_thr:.6e}")
+        lines += [f"anchors exact    : {quality['anchors_exact']}",
+                  f"support bound    : {quality['support_bound']}",
+                  f"lattice entries  : {quality['lattice_entries']}",
+                  "cert scales      : "
+                  + ", ".join(f"{k}={v}" for k, v in sorted(cert))]
+    except (OSError, KeyError, ValueError, TypeError, AttributeError,
             json.JSONDecodeError) as exc:
         print(f"error: malformed solution file: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    dev = max(abs(w - w0) for w, w0 in zip(omega, omega_ref))
-    print(f"omega            : {', '.join(format(w, '.12g') for w in omega)}")
-    print(f"|omega - omega0| : {dev:.6e}")
-    print(f"residual (l2)    : {quality['final_residual_l2']:.6e}")
-    print(f"residual (sup)   : {quality['final_residual_sup']:.6e}")
-    print(f"pde residual     : {quality['pde_residual_max']:.6e}")
-    print(f"weighted tail    : {quality['weighted_tail']:.6e} "
-          f"(rho = {quality['weighted_tail_rho']})")
-    tail_thr = quality.get("tail_threshold", 0.0)
-    if tail_thr and quality["weighted_tail"] >= tail_thr:
-        print(f"WARN: tail >= sqrt(eps+delta) = {tail_thr:.6e}")
-    print(f"anchors exact    : {quality['anchors_exact']}")
-    print(f"support bound    : {quality['support_bound']}")
-    print(f"lattice entries  : {quality['lattice_entries']}")
-    digest = ", ".join(f"{k}={v}" for k, v in sorted(cert))
-    print(f"cert scales      : {digest}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -6,7 +6,12 @@ structurally by storing only canonical k representatives.  The residual map
 is F(q) = D q + eps * Laplacian(q) + delta * q_*^(p+1) with D the diagonal
 mu_n^2 - (k.omega)^2 and the (p+1)-fold convolution taken in k per space
 site.  Convolutions are exact sparse sums (supports stay tiny at the scales
-this package targets); a relative cutoff of 1e-16 drops denormal clutter.
+this package targets).
+
+Every field obeys one drop rule, applied by its constructor: it holds no
+zero and no entry below ``DROP * sup_norm()``.  The coefficients decay
+exponentially, so such entries are round-off, not solution; sums,
+increments, convolutions and residuals all shed them the same way.
 Fields are immutable, so each convolution power is computed once per field
 and kept on it for later calls of :func:`convolve_power`.
 """
@@ -22,16 +27,18 @@ import numpy as np
 from .lattice import ResonantSet, Site, canonical_k, neighbor_offsets
 from .spectrum import ModelParams, mu
 
-CONVOLUTION_DROP = 1e-16  # relative to the result's sup norm
+DROP = 1e-16  # a field keeps entries with |v| >= DROP * its sup norm, v != 0
 
 
 class CoefficientField:
     """Immutable sparse map Site -> amplitude with q(k,n) = q(-k,n).
 
     Only the lexicographically larger of {k, -k} is stored (k = 0 once);
-    lookups canonicalize.  Use :meth:`from_entries` to build one.  Nothing
-    writes to ``_data`` after construction; ``_powers`` keeps the convolution
-    powers already computed from it (order -> field).
+    lookups canonicalize.  Use :meth:`from_entries` to build one.  The
+    constructor is the one place that decides what a field keeps: no zero
+    and no entry below ``DROP * sup_norm()``.  Nothing writes to ``_data``
+    after construction; ``_powers`` keeps the convolution powers already
+    computed from it (order -> field).
     """
 
     __slots__ = ("_data", "b", "d", "_powers")
@@ -39,7 +46,9 @@ class CoefficientField:
     def __init__(self, data: Dict[tuple, float], b: int, d: int, _trusted=False):
         if not _trusted:
             raise TypeError("use CoefficientField.from_entries")
-        self._data = data
+        cut = DROP * max(map(abs, data.values()), default=0.0)
+        self._data = {key: v for key, v in data.items()
+                      if v != 0.0 and abs(v) >= cut}
         self.b = b
         self.d = d
         self._powers: Dict[int, "CoefficientField"] = {}
@@ -62,7 +71,7 @@ class CoefficientField:
                     f"conflicting values at {key}: {data[key]} vs {v} "
                     f"(symmetry q(k,n) = q(-k,n) violated)")
             data[key] = v
-        return cls({k: v for k, v in data.items() if v != 0.0}, b, d, _trusted=True)
+        return cls(data, b, d, _trusted=True)
 
     @classmethod
     def zero(cls, b: int, d: int) -> "CoefficientField":
@@ -131,53 +140,49 @@ class CoefficientField:
         return max((max((abs(x) for x in n), default=0)
                     for (_, n) in self._data.keys()), default=0)
 
-    def space_support(self) -> set:
-        return {n for (_, n) in self._data.keys()}
-
     # -- functional updates ------------------------------------------------------
 
     def add(self, other: "CoefficientField", scale: float = 1.0) -> "CoefficientField":
         data = dict(self._data)
         for key, v in other._data.items():
             data[key] = data.get(key, 0.0) + scale * v
-        return CoefficientField({k: v for k, v in data.items() if v != 0.0},
-                                self.b, self.d, _trusted=True)
+        return CoefficientField(data, self.b, self.d, _trusted=True)
 
     def scaled(self, factor: float) -> "CoefficientField":
         return CoefficientField({k: factor * v for k, v in self._data.items()},
                                 self.b, self.d, _trusted=True)
 
 
-def _full_slice(q: CoefficientField, n: tuple) -> Dict[tuple, float]:
-    """The k-slice of q at space site n, expanded to both k and -k."""
-    out: Dict[tuple, float] = {}
-    for (k, nn), v in q._data.items():
-        if nn != n:
-            continue
-        out[k] = v
+def _slices(q: CoefficientField) -> Dict[tuple, Dict[tuple, float]]:
+    """q grouped by space site: n -> {k: value} over both k and -k."""
+    out: Dict[tuple, Dict[tuple, float]] = {}
+    for (k, n), v in q._data.items():
+        row = out.setdefault(n, {})
+        row[k] = v
         if any(k):
-            out[tuple(-x for x in k)] = v
-    return out
-
-
-def _convolve_slices(a: Dict[tuple, float], b: Dict[tuple, float]) -> Dict[tuple, float]:
-    out: Dict[tuple, float] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0.0) + va * vb
+            row[tuple(-x for x in k)] = v
     return out
 
 
 def convolve(qa: CoefficientField, qb: CoefficientField) -> CoefficientField:
-    """Per-site k-convolution of two fields (symmetry is preserved)."""
+    """Per-site k-convolution of two fields (symmetry is preserved); the one
+    convolution engine, powers included.  Each field is grouped by space
+    site once."""
     if (qa.b, qa.d) != (qb.b, qb.d):
         raise ValueError("fields live on different lattices")
+    slices_b = _slices(qb)
     data: Dict[tuple, float] = {}
-    for n in qa.space_support() & qb.space_support():
-        acc = _convolve_slices(_full_slice(qa, n), _full_slice(qb, n))
+    for n, a in _slices(qa).items():
+        b = slices_b.get(n)
+        if b is None:
+            continue
+        acc: Dict[tuple, float] = {}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                acc[key] = acc.get(key, 0.0) + va * vb
         for k, v in acc.items():
-            if k == canonical_k(k) and v != 0.0:
+            if k == canonical_k(k):
                 data[(k, n)] = v
     return CoefficientField(data, qa.b, qa.d, _trusted=True)
 
@@ -195,18 +200,8 @@ def convolve_power(q: CoefficientField, order: int) -> CoefficientField:
 
 
 def _power(q: CoefficientField, order: int) -> CoefficientField:
-    """q_*^order for order >= 2, pruned below CONVOLUTION_DROP * sup norm."""
-    data: Dict[tuple, float] = {}
-    for n in q.space_support():
-        acc = base = _full_slice(q, n)
-        for _ in range(order - 1):
-            acc = _convolve_slices(acc, base)
-        for k, v in acc.items():
-            if k == canonical_k(k) and v != 0.0:
-                data[(k, n)] = v
-    cut = CONVOLUTION_DROP * max(map(abs, data.values()), default=0.0)
-    return CoefficientField({key: v for key, v in data.items() if abs(v) >= cut},
-                            q.b, q.d, _trusted=True)
+    """q_*^order for order >= 2: the stored lower power convolved once more."""
+    return convolve(convolve_power(q, order - 1), q)
 
 
 @dataclass(frozen=True)
@@ -231,9 +226,8 @@ def residual(q: CoefficientField, omega: Sequence[float],
     data: Dict[tuple, float] = {}
 
     def add(k: tuple, n: tuple, v: float):
-        if v != 0.0:
-            key = (canonical_k(k), n)
-            data[key] = data.get(key, 0.0) + v
+        key = (canonical_k(k), n)
+        data[key] = data.get(key, 0.0) + v
 
     mu_cache: Dict[tuple, float] = {}
 
@@ -254,8 +248,7 @@ def residual(q: CoefficientField, omega: Sequence[float],
         for (k, n), v in power._data.items():
             add(k, n, params.delta * v)
 
-    f = CoefficientField({k: v for k, v in data.items() if v != 0.0},
-                         q.b, q.d, _trusted=True)
+    f = CoefficientField(data, q.b, q.d, _trusted=True)
     return ResidualReport(field=f, sup_norm=f.sup_norm(), l2_norm=f.l2_norm(),
                           l1_norm=f.l1_norm(), support_bound=f.support_bound())
 

@@ -256,10 +256,8 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
             f"{cond:.3e} at site {worst}", stage=stage, condition=cond,
             site=worst)
 
-    val = lu.solve(rhs[canon])
-    keep = val != 0.0
     increment = CoefficientField.from_entries(
-        zip(sites_of(vecs[canon[keep]], b), val[keep].tolist()), b, params.d)
+        zip(sites_of(vecs[canon], b), lu.solve(rhs[canon]).tolist()), b, params.d)
     return PStepResult(increment=increment, box_radius=box, box_sites=n_sites,
                        condition_estimate=cond)
 
@@ -415,8 +413,7 @@ def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
     def field_of(x: np.ndarray) -> CoefficientField:
         entries = dict(frozen)
         for s, i in col.items():
-            if x[i] != 0.0:
-                entries[(s.k, s.n)] = x[i]
+            entries[(s.k, s.n)] = x[i]
         return CoefficientField.from_entries(entries, params.b, params.d)
 
     def f_vector(x: np.ndarray) -> np.ndarray:
@@ -473,8 +470,8 @@ def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
     x = np.zeros(n_unknowns + params.b)
     x[n_unknowns:] = omega0(params)
     history = []
+    fv = f_vector(x)
     for iteration in range(max_iterations):
-        fv = f_vector(x)
         rnorm = float(np.linalg.norm(fv))
         history.append(rnorm)
         if rnorm < tolerance:
@@ -491,14 +488,15 @@ def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
         scale = 1.0
         for _ in range(30):
             trial = x - scale * step
-            if np.linalg.norm(f_vector(trial)) < rnorm or scale < 1e-9:
+            fv = f_vector(trial)    # kept: the next iteration's F(x)
+            if np.linalg.norm(fv) < rnorm or scale < 1e-9:
                 break
             scale *= 0.5
         else:
             raise OracleDiverged(
                 f"step control failed at iteration {iteration} "
                 f"(residual {rnorm:.3e})")
-        x = x - scale * step
+        x = trial
     raise OracleDiverged(
         f"no convergence in {max_iterations} iterations "
         f"(residual {history[-1]:.3e})")

@@ -238,6 +238,24 @@ class TestReport:
         cli.write_file(workdir / "null.txt", sol)
         assert run(["report", workdir / "null.txt"]) == cli.EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("quality", [
+        {}, None, [], "drop lattice_entries", "weighted_tail not a number"])
+    def test_incomplete_quality_block_is_malformed(self, workdir, capsys,
+                                                   quality):
+        run(["solve", "--preset", "trivial", "--out", workdir, "--force"])
+        sol = cli.read_file(workdir / "solution.txt")
+        if quality == "drop lattice_entries":
+            del sol["quality"]["lattice_entries"]
+        elif quality == "weighted_tail not a number":
+            sol["quality"]["weighted_tail"] = "small"
+        else:
+            sol["quality"] = quality
+        cli.write_file(workdir / "incomplete.txt", sol)
+        capsys.readouterr()
+        assert run(["report", workdir / "incomplete.txt"]) == \
+            cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().out == ""
+
     def test_warn_on_large_tail(self, workdir, capsys):
         run(["solve", "--preset", "small-coupling", "--out", workdir,
              "--force"])

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from qpwave import (CoefficientField, convolve, convolve_power,
                     evaluate_solution, linearize, omega0, pde_residual,
                     residual, weighted_tail_norm)
+from qpwave.nonlin import DROP
 from qpwave.solver import initial_field
+
+from conftest import golden_params
 
 
 def field_from(entries, b=1, d=1):
@@ -28,6 +31,49 @@ def sparse_fields(draw, b=1, d=1, max_entries=5):
                            allow_nan=False, allow_infinity=False))
         entries[(canonical_k(k), n)] = v  # dedupe mirror keys
     return CoefficientField.from_entries(entries, b, d)
+
+
+@st.composite
+def graded_entries(draw, b, d, max_entries=8):
+    """Canonical entries whose magnitudes span 1e-30 .. 2, zeros included."""
+    from qpwave.lattice import canonical_k
+    entries = {}
+    for _ in range(draw(st.integers(0, max_entries))):
+        k = tuple(draw(st.integers(-3, 3)) for _ in range(b))
+        n = tuple(draw(st.integers(-2, 2)) for _ in range(d))
+        sign = draw(st.sampled_from((-1.0, 0.0, 1.0)))
+        entries[(canonical_k(k), n)] = sign * 10.0 ** draw(
+            st.floats(min_value=-30.0, max_value=0.3))
+    return entries
+
+
+def assert_drop_rule(field):
+    cut = DROP * field.sup_norm()
+    for _k, _n, v in field.canonical_items():
+        assert v != 0.0 and abs(v) >= cut
+
+
+class TestDropRule:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (2, 1), (1, 2)]), data=st.data())
+    def test_every_field_holds_no_zero_and_nothing_below_the_cut(self, shape,
+                                                                 data):
+        b, d = shape
+        ea = data.draw(graded_entries(b, d))
+        qa = CoefficientField.from_entries(ea, b, d)
+        qb = CoefficientField.from_entries(data.draw(graded_entries(b, d)), b, d)
+        factor = data.draw(st.sampled_from((0.0, -1.0, 1e-200, 3.0)))
+        params = golden_params(b=b, d=d)
+        fields = [qa, qb, qa.add(qb), qa.add(qb, -1.0), qa.add(qa, -1.0),
+                  qa.scaled(factor), convolve(qa, qb), convolve_power(qa, 2),
+                  convolve_power(qa, 3),
+                  residual(qa, omega0(params), params).field]
+        for field in fields:
+            assert_drop_rule(field)
+        # the constructor drops exactly what the rule names, nothing more
+        cut = DROP * max(map(abs, ea.values()), default=0.0)
+        assert {(k, n): v for k, n, v in qa.canonical_items()} == \
+            {key: v for key, v in ea.items() if v != 0.0 and abs(v) >= cut}
 
 
 class TestCoefficientField:

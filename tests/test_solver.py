@@ -228,9 +228,11 @@ class TestSolve:
             solve(params, certificates={"alpha_dc": failing})
 
     def test_each_power_computed_once_per_field(self, params, monkeypatch):
-        # stage 0 builds q0^3 for the residual; each stage builds q^2 (for
-        # linearize) on its input field and q^3 on its output field, and
-        # every other use reads the power stored on the field
+        # q^3 is q^2 convolved with q, so building q^3 on a field builds its
+        # q^2 too: stage 0 builds q0^2 and q0^3 for the residual, each stage
+        # builds q^2 and q^3 on its output field, and every other use
+        # (linearize on the next stage's input included) reads the power
+        # stored on the field
         from qpwave import nonlin
         computed = []
         real_power = nonlin._power
@@ -242,7 +244,7 @@ class TestSolve:
         monkeypatch.setattr(nonlin, "_power", counting_power)
         sol = solve(params, SolverConfig(M=3, r_max=2))
         assert len(sol.trace) == 3
-        assert sorted(computed) == [2, 2, 3, 3, 3]
+        assert sorted(computed) == [2, 2, 2, 3, 3, 3]
 
     def test_stagnation_raises_non_convergence(self, params):
         config = SolverConfig(M=2, r_max=8, residual_floor=1e-30,
@@ -277,6 +279,23 @@ class TestBruteForceOracle:
             res = brute_force_oracle(p, 5)
             lhs = abs(res.omega[0] ** 2 - omega0(p)[0] ** 2 - 0.75 * delta)
             assert lhs <= 50.0 * delta ** 2
+
+    def test_residual_evaluated_once_per_accepted_point(self, params,
+                                                        monkeypatch):
+        # F at each accepted point is the vector its line search accepted,
+        # so with every full step accepted there is one F per Newton point
+        from qpwave import solver
+        calls = []
+        real_residual = solver.residual
+
+        def counting_residual(*args, **kwargs):
+            calls.append(1)
+            return real_residual(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "residual", counting_residual)
+        res = brute_force_oracle(params, 8)
+        assert res.iterations >= 2
+        assert len(calls) == len(res.residual_history) == res.iterations + 1
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -315,6 +334,16 @@ class TestGeneralDimensions:
         assert sol.converged
         assert sol.quality["final_residual_l2"] <= 1e-12
         assert sol.quality["weighted_tail"] < math.sqrt(p.eps + p.delta)
+        assert sol.quality["anchors_exact"]
+
+    def test_two_frequencies_two_space_dimensions(self):
+        p = golden_params(b=2, d=2)
+        sol = solve(p, SolverConfig(M=3, r_max=2))
+        assert sol.converged
+        oracle = brute_force_oracle(p, 3)
+        comp = compare_with_oracle(sol, oracle, 3)
+        assert comp["sup_discrepancy"] <= 1e-9
+        assert comp["omega_discrepancy"] <= 1e-9
         assert sol.quality["anchors_exact"]
 
 
