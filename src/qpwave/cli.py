@@ -32,11 +32,12 @@ import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
 from . import linop, solver, spectrum
-from .errors import NonConvergence, QPWaveError, ResonantBox
+from .errors import NonConvergence, QPWaveError, ResonantBox, check_ranges
 from .lattice import Site
 from .nonlin import CoefficientField, linearize
 from .spectrum import Certificate, ModelParams
@@ -52,6 +53,10 @@ EXIT_NON_CONVERGENCE = 4
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 PRESET_THETA0 = 0.3455
+
+# what reading a malformed config or solution file raises (a
+# json.JSONDecodeError is a ValueError)
+MALFORMED = (OSError, LookupError, ValueError, TypeError, AttributeError)
 
 
 # ---------------------------------------------------------------------------
@@ -118,44 +123,84 @@ def read_file(path: Path):
 # configuration
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass(frozen=True)
+class CertConfig:
+    """The ``cert`` block: Diophantine scale L and constant c*, the
+    non-resonance margin eta, and the grid sizes of the certify scans."""
+
+    L: int = 5
+    c_star: float = 0.008
+    eta: float = 1e-3
+    m_grid_points: int = 2001
+    sigma_grid_points: int = 4001
+    transversality_m_points: int = 201
+
+    def __post_init__(self):
+        check_ranges("cert.", self, (
+            ("L", self.L >= 1, ">= 1"),
+            ("c_star", 0.0 < self.c_star < 1.0, "in (0, 1)"),
+            ("eta", self.eta > 0.0, "> 0"),
+            ("m_grid_points", self.m_grid_points >= 1, ">= 1"),
+            ("sigma_grid_points", self.sigma_grid_points >= 1, ">= 1"),
+            ("transversality_m_points", self.transversality_m_points >= 1,
+             ">= 1")))
+
+
+@dataclasses.dataclass(frozen=True)
+class ScanConfig:
+    """The ``scan`` block's sizes: region scale M, sigma grid points, region
+    cap and an optional sigma window [lo, hi].  The same block's exponents
+    rho1-rho3 and gamma_prime are read into ``linop.Thresholds``."""
+
+    M: int = 8
+    num_sigma: int = 1601
+    max_regions: int = 64
+    window: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.window is not None:
+            object.__setattr__(self, "window",
+                               tuple(float(x) for x in self.window))
+        check_ranges("scan.", self, (
+            ("M", self.M >= 2, ">= 2"),
+            ("num_sigma", self.num_sigma >= 2, ">= 2"),
+            ("max_regions", self.max_regions >= 1, ">= 1"),
+            ("window", self.window is None or (
+                len(self.window) == 2 and self.window[0] < self.window[1]),
+             "null or [lo, hi] with lo < hi")))
+
+
+# the config block each dataclass reads; it owns the block's defaults and
+# range rules
+SCHEMA = {SolverConfig: "solver", CertConfig: "cert", ScanConfig: "scan",
+          linop.Thresholds: "scan"}
+PRESETS = ("trivial", "small-coupling", "scan-demo")
+
+
 def default_config() -> dict:
-    return {
+    cfg = {
         "format_version": FORMAT_VERSION,
         "model": {
             "b": 1, "d": 1, "p": 2, "m": 2.5,
             "eps": 1e-3, "delta": 1e-3,
             "alpha": [GOLDEN_MEAN], "theta0": PRESET_THETA0,
             "anchors": [[0]], "amplitudes": [1.0],
-            "gamma": 1.0, "k_exponent": None,
-        },
-        "solver": dataclasses.asdict(SolverConfig()),
-        "cert": {
-            "L": 5, "c_star": 0.008, "eta": 1e-3,
-            "m_grid_points": 2001, "sigma_grid_points": 4001,
-            "transversality_m_points": 201,
-        },
-        "scan": {
-            "M": 8, "rho1": 0.1, "rho2": 0.7, "rho3": 0.9, "rho4": 0.05,
-            "gamma_prime": None, "num_sigma": 1601, "max_regions": 64,
-            "window": None,
+            "gamma": ModelParams.gamma,
         },
         "output": {"out_dir": "qpwave-out"},
     }
+    for cls, block in SCHEMA.items():
+        cfg.setdefault(block, {}).update(dataclasses.asdict(cls()))
+    return cfg
 
 
 def preset_config(name: str) -> dict:
+    """small-coupling and scan-demo are the defaults; trivial is uncoupled."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
     cfg = default_config()
     if name == "trivial":
-        cfg["model"]["eps"] = 0.0
-        cfg["model"]["delta"] = 0.0
-    elif name == "small-coupling":
-        pass  # defaults are the small-coupling point
-    elif name == "scan-demo":
-        cfg["model"]["eps"] = 1e-3
-        cfg["model"]["delta"] = 1e-3
-        cfg["scan"]["M"] = 8
-    else:
-        raise ValueError(f"unknown preset {name!r}")
+        cfg["model"]["eps"] = cfg["model"]["delta"] = 0.0
     return cfg
 
 
@@ -167,69 +212,19 @@ def model_params(cfg: dict) -> ModelParams:
         alpha=tuple(float(a) for a in m["alpha"]), theta0=float(m["theta0"]),
         anchors=tuple(tuple(int(x) for x in n) for n in m["anchors"]),
         amplitudes=tuple(float(a) for a in m["amplitudes"]),
-        gamma=float(m.get("gamma", 1.0)),
-        k_exponent=m.get("k_exponent"),
+        gamma=float(m.get("gamma", ModelParams.gamma)),
     )
 
 
-def solver_config(cfg: dict) -> SolverConfig:
-    """The ``solver`` block over the SolverConfig defaults, cast to the
-    defaults' types; SolverConfig range-checks it."""
-    s = cfg.get("solver", {})
-    return SolverConfig(**{f.name: type(f.default)(s[f.name])
-                           for f in dataclasses.fields(SolverConfig)
-                           if f.name in s})
-
-
-def scan_config(cfg: dict) -> dict:
-    """The ``scan`` block with its defaults, range-checked."""
-    s = cfg.get("scan", {})
-    scan = {
-        "M": int(s.get("M", 8)),
-        "thresholds": linop.Thresholds(
-            rho1=float(s.get("rho1", 0.1)), rho2=float(s.get("rho2", 0.7)),
-            rho3=float(s.get("rho3", 0.9)), gamma_prime=s.get("gamma_prime")),
-        "num_sigma": int(s.get("num_sigma", 1601)),
-        "max_regions": int(s.get("max_regions", 64)),
-        "window": s.get("window"),
-    }
-    if scan["M"] < 2:
-        raise ValueError(f"scan.M must be >= 2, got {scan['M']}")
-    if scan["num_sigma"] < 2:
-        raise ValueError(f"scan.num_sigma must be >= 2, got {scan['num_sigma']}")
-    if scan["max_regions"] < 1:
-        raise ValueError(
-            f"scan.max_regions must be >= 1, got {scan['max_regions']}")
-    if scan["window"] is not None:
-        lo, hi = (float(x) for x in scan["window"])
-        if not lo < hi:
-            raise ValueError(f"scan.window must be [lo, hi] with lo < hi, "
-                             f"got {scan['window']}")
-        scan["window"] = (lo, hi)
-    return scan
-
-
-def cert_config(cfg: dict) -> dict:
-    """The ``cert`` block with its defaults, range-checked."""
-    c = cfg.get("cert", {})
-    cert = {
-        "L": int(c.get("L", 5)),
-        "c_star": float(c.get("c_star", 0.008)),
-        "eta": float(c.get("eta", 1e-3)),
-        "m_grid_points": int(c.get("m_grid_points", 2001)),
-        "sigma_grid_points": int(c.get("sigma_grid_points", 4001)),
-        "transversality_m_points": int(c.get("transversality_m_points", 201)),
-    }
-    if cert["L"] < 1:
-        raise ValueError(f"cert.L must be >= 1, got {cert['L']}")
-    if not 0.0 < cert["c_star"] < 1.0:
-        raise ValueError(f"cert.c_star must lie in (0, 1), got {cert['c_star']}")
-    if not cert["eta"] > 0.0:
-        raise ValueError(f"cert.eta must be > 0, got {cert['eta']}")
-    for name in ("m_grid_points", "sigma_grid_points", "transversality_m_points"):
-        if cert[name] < 1:
-            raise ValueError(f"cert.{name} must be >= 1, got {cert[name]}")
-    return cert
+def config_block(cfg: dict, cls):
+    """``cls`` built from its config block (``SCHEMA``): the fields the block
+    names over the defaults, cast to the defaults' types; a field whose
+    default is None takes the value (``null`` included) uncast.  ``cls``
+    range-checks them; keys it does not name are ignored."""
+    block = cfg.get(SCHEMA[cls], {})
+    return cls(**{f.name: block[f.name] if f.default is None
+                  else type(f.default)(block[f.name])
+                  for f in dataclasses.fields(cls) if f.name in block})
 
 
 def load_config(path=None, preset=None) -> dict:
@@ -245,9 +240,8 @@ def load_config(path=None, preset=None) -> dict:
     if int(cfg.get("format_version", FORMAT_VERSION)) != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {cfg.get('format_version')}")
     model_params(cfg)   # range checks happen at load time
-    solver_config(cfg)
-    cert_config(cfg)
-    scan_config(cfg)
+    for cls in SCHEMA:
+        config_block(cfg, cls)
     return cfg
 
 
@@ -288,11 +282,8 @@ def field_from_records(records, b: int, d: int) -> CoefficientField:
 
 def run_certify(cfg: dict, out_dir: Path) -> int:
     params = model_params(cfg)
-    cert = cert_config(cfg)
-    L, c_star, eta = cert["L"], cert["c_star"], cert["eta"]
-    m_points = cert["m_grid_points"]
-    s_points = cert["sigma_grid_points"]
-    t_points = cert["transversality_m_points"]
+    cert = config_block(cfg, CertConfig)
+    L, c_star, eta = cert.L, cert.c_star, cert.eta
 
     bundle = {"format_version": FORMAT_VERSION, "config": cfg,
               "certificates": {}, "gates": {}}
@@ -309,7 +300,7 @@ def run_certify(cfg: dict, out_dir: Path) -> int:
         certs["separation"] = certificate_dict(sep)
         gates["separation"] = sep.passed
 
-        m_grid = np.linspace(2.0, 3.0, t_points)
+        m_grid = np.linspace(2.0, 3.0, cert.transversality_m_points)
         trans = []
         k_one = tuple(1 if i == 0 else 0 for i in range(params.b))
         trans.append(spectrum.transversality_margin("harmonic", k_one, params, m_grid))
@@ -325,8 +316,8 @@ def run_certify(cfg: dict, out_dir: Path) -> int:
         certs["transversality"] = [certificate_dict(c) for c in trans]
         gates["transversality"] = all(c.passed for c in trans)
 
-        scan = spectrum.admissible_m_scan(params, L, eta,
-                                          np.linspace(2.0, 3.0, m_points))
+        scan = spectrum.admissible_m_scan(
+            params, L, eta, np.linspace(2.0, 3.0, cert.m_grid_points))
         certs["admissible_m"] = certificate_dict(scan.certificate)
         certs["admissible_m"]["failing_fraction"] = scan.failing_fraction
         certs["admissible_m"]["theoretical_bound"] = scan.theoretical_bound
@@ -337,11 +328,11 @@ def run_certify(cfg: dict, out_dir: Path) -> int:
 
         om = spectrum.omega0(params)
         reach = L * float(np.abs(om).sum()) + math.sqrt(params.m + 1.0) + 1.0
-        sigma_grid = np.linspace(-reach, reach, s_points)
+        sigma_grid = np.linspace(-reach, reach, cert.sigma_grid_points)
         worst, at = spectrum.cluster_scan(params, L, eta, sigma_grid)
         cluster_cert = Certificate(
             kind="cluster",
-            inputs={"L": L, "eta": eta, "sigma_points": s_points,
+            inputs={"L": L, "eta": eta, "sigma_points": cert.sigma_grid_points,
                     "window": [-reach, reach], "m": params.m},
             margin=float(params.b - worst) + 0.5,  # pass iff worst <= b
             witnesses=(((("worst_count",)), float(worst)),
@@ -369,7 +360,7 @@ def run_solve(cfg: dict, out_dir: Path, force: bool = False,
               "(run certify first or pass --force)", file=sys.stderr)
         return EXIT_BAD_CONFIG
     params = model_params(cfg)
-    config = solver_config(cfg)
+    config = config_block(cfg, SolverConfig)
     sol = solver.solve(params, config)
 
     solution_obj = {
@@ -428,17 +419,18 @@ def _write_oracle_compare(cfg: dict, out_dir: Path, params: ModelParams,
 
 def run_lde_scan(cfg: dict, out_dir: Path) -> int:
     params = model_params(cfg)
-    scan = scan_config(cfg)
+    scan = config_block(cfg, ScanConfig)
     omega = spectrum.omega0(params)
     kernel = linearize(solver.initial_field(params), params.p) \
         if params.delta != 0.0 else None
     sigma_grid = None
-    if scan["window"] is not None:
-        sigma_grid = np.linspace(*scan["window"], scan["num_sigma"])
+    if scan.window is not None:
+        sigma_grid = np.linspace(*scan.window, scan.num_sigma)
     report = linop.lde_scan(
-        scan["M"], params, tuple(float(w) for w in omega), kernel,
-        sigma_grid=sigma_grid, thresholds=scan["thresholds"],
-        max_regions=scan["max_regions"], num_sigma=scan["num_sigma"])
+        scan.M, params, tuple(float(w) for w in omega), kernel,
+        sigma_grid=sigma_grid,
+        thresholds=config_block(cfg, linop.Thresholds),
+        max_regions=scan.max_regions, num_sigma=scan.num_sigma)
 
     summary = {
         "format_version": FORMAT_VERSION,
@@ -491,8 +483,7 @@ def run_report(solution_path: Path) -> int:
                   f"lattice entries  : {quality['lattice_entries']}",
                   "cert scales      : "
                   + ", ".join(f"{k}={v}" for k, v in sorted(cert))]
-    except (OSError, KeyError, ValueError, TypeError, AttributeError,
-            json.JSONDecodeError) as exc:
+    except MALFORMED as exc:
         print(f"error: malformed solution file: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     print("\n".join(lines))
@@ -507,7 +498,10 @@ def run_oracle_compare(cfg: dict, out_dir: Path, solution_path: Path,
         solution = SimpleNamespace(
             q=field_from_records(obj["records"], params.b, params.d),
             omega=tuple(float(w) for w in obj["omega"]))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        if len(solution.omega) != params.b:
+            raise ValueError(f"omega must have b = {params.b} entries, "
+                             f"got {len(solution.omega)}")
+    except MALFORMED as exc:
         print(f"error: malformed solution file: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     comp = _write_oracle_compare(cfg, out_dir, params, solution, box)
@@ -538,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--preset", choices=["trivial", "small-coupling",
-                                            "scan-demo"], default=None)
+        p.add_argument("--preset", choices=PRESETS, default=None)
         p.add_argument("--out", type=Path, default=None)
 
     p = sub.add_parser("certify", help="write the certificate bundle")
@@ -568,8 +561,7 @@ def main(argv=None) -> int:
         return run_report(args.solution)
     try:
         cfg = load_config(args.config, args.preset)
-    except (OSError, ValueError, TypeError, KeyError,
-            json.JSONDecodeError, QPWaveError) as exc:
+    except MALFORMED + (QPWaveError,) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     out_dir = args.out if args.out is not None \

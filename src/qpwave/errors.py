@@ -1,8 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types, and the range check of config dataclasses, shared
+across the package.
 
 Every named failure mode gets its own class so callers (and the CLI exit-code
 mapping) can discriminate without string matching.
 """
+
+
+def check_ranges(prefix: str, obj, rules) -> None:
+    """Raise ValueError on the first (field, ok, rule) in ``rules`` whose
+    ``ok`` is false, naming ``prefix + field``, its rule and its value."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{prefix}{name} must be {rule}, "
+                             f"got {getattr(obj, name)!r}")
 
 
 class QPWaveError(Exception):

@@ -26,7 +26,8 @@ from typing import Dict, NamedTuple, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AsymmetricKernel, ComplementSingular, Singular
+from .errors import (AsymmetricKernel, ComplementSingular, Singular,
+                     check_ranges)
 from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, box_vectors,
                       index_map, neighbor_offsets)
 from .nonlin import CoefficientField
@@ -39,12 +40,20 @@ MAX_FAMILY_REGIONS = 64
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Large-deviation exponents; gamma_prime defaults to gamma - M^(-0.2)."""
+    """Large-deviation exponents, positive and finite; gamma_prime defaults
+    to gamma - M^(-0.2)."""
 
     rho1: float = 0.1
     rho2: float = 0.7
     rho3: float = 0.9
     gamma_prime: Optional[float] = None
+
+    def __post_init__(self):
+        if self.gamma_prime is not None:
+            object.__setattr__(self, "gamma_prime", float(self.gamma_prime))
+        check_ranges("", self, [
+            (name, 0.0 < v < math.inf, "positive and finite")
+            for name, v in dataclasses.asdict(self).items() if v is not None])
 
     def decay_rate(self, gamma: float, scale: float) -> float:
         if self.gamma_prime is not None:
@@ -628,7 +637,7 @@ def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
     if len(c_idx):
         hcc = matrix[np.ix_(c_idx, c_idx)]
         eig = np.abs(np.linalg.eigvalsh(hcc))
-        if eig.min() < SINGULARITY_RTOL * max(eig.max(), 1.0):
+        if _is_singular(eig.min(), eig.max()):
             raise ComplementSingular(
                 f"complement block singular (min |eig| = {eig.min():.3e})")
         gcc = np.linalg.inv(hcc)

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
                      OracleDiverged, OracleTooLarge, PreconditionFailed,
-                     ResonantBox)
+                     ResonantBox, check_ranges)
 from .lattice import (ResonantSet, Site, canonical_k, cube, index_map,
                       neighbor_offsets, sites_of, unit_k)
 from .linop import OperatorSpec, assemble_sparse
@@ -57,16 +57,13 @@ class SolverConfig:
     coupling_limit: float = 0.1     # largest eps+delta the stage scheme accepts
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("M", self.M >= 2, ">= 2"), ("r_max", self.r_max >= 1, ">= 1"),
-                ("residual_floor", self.residual_floor > 0.0, "> 0"),
-                ("q_update_damping", 0.0 < self.q_update_damping <= 1.0,
-                 "in (0, 1]"),
-                ("max_condition", self.max_condition >= 1.0, ">= 1"),
-                ("coupling_limit", self.coupling_limit > 0.0, "> 0")):
-            if not ok:
-                raise ValueError(f"solver.{name} must be {rule}, "
-                                 f"got {getattr(self, name)}")
+        check_ranges("solver.", self, (
+            ("M", self.M >= 2, ">= 2"), ("r_max", self.r_max >= 1, ">= 1"),
+            ("residual_floor", self.residual_floor > 0.0, "> 0"),
+            ("q_update_damping", 0.0 < self.q_update_damping <= 1.0,
+             "in (0, 1]"),
+            ("max_condition", self.max_condition >= 1.0, ">= 1"),
+            ("coupling_limit", self.coupling_limit > 0.0, "> 0")))
 
 
 @dataclass(frozen=True)

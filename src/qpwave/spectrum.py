@@ -41,9 +41,7 @@ class ModelParams:
     ``alpha`` (length d) and ``theta0`` live in [0,1] and are scaled by 2*pi
     when phases are formed.  ``anchors`` are the b distinct space sites that
     carry the prescribed amplitudes ``amplitudes`` (in [1,2]).  ``gamma`` is
-    the certified decay rate of convolution kernels; ``k_exponent`` is the
-    Diophantine scale exponent (defaults to its largest allowed value
-    1e4 * d * b**4).
+    the certified decay rate of convolution kernels.
     """
 
     b: int
@@ -57,7 +55,6 @@ class ModelParams:
     anchors: tuple
     amplitudes: tuple
     gamma: float = 1.0
-    k_exponent: Optional[float] = None
 
     def __post_init__(self):
         if self.b < 1 or self.d < 1:
@@ -89,11 +86,6 @@ class ModelParams:
         object.__setattr__(self, "amplitudes", amps)
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        kmax = 1e4 * self.d * self.b**4
-        kexp = self.k_exponent if self.k_exponent is not None else kmax
-        if not 0 < kexp <= kmax:
-            raise ValueError(f"k_exponent must lie in (0, {kmax}], got {kexp}")
-        object.__setattr__(self, "k_exponent", float(kexp))
 
     # -- derived quantities ---------------------------------------------------
 
@@ -231,6 +223,17 @@ def check_theta_dc(theta0: float, alpha: Sequence[float], L: int, c_star: float,
         vecs, attained, c_star if mode == "fixed" else float(L) ** (-3 * dd))
 
 
+def _require_diophantine(params: ModelParams, L: int, c_star: float) -> None:
+    """Raise PreconditionFailed unless alpha and theta0 both pass their
+    Diophantine certificates at (L, c_star)."""
+    failed = [c.kind for c in (
+        check_alpha_dc(params.alpha, L, c_star),
+        check_theta_dc(params.theta0, params.alpha, L, c_star)) if not c.passed]
+    if failed:
+        raise PreconditionFailed(f"Diophantine certificates failed at "
+                                 f"(L={L}, c_star={c_star:.3e}): {failed}")
+
+
 def separation_certificate(params: ModelParams, L: int, c_star: float) -> Certificate:
     """Pair-separation certificate for the mu_n over |(n,n')| <= L.
 
@@ -238,13 +241,7 @@ def separation_certificate(params: ModelParams, L: int, c_star: float) -> Certif
     then verifies |mu_n - mu_n'| >= (2/pi^2) c_star^2 and
     |mu_n^2 - mu_n'^2| >= (8/pi^2) c_star^2 by exhaustive evaluation.
     """
-    ca = check_alpha_dc(params.alpha, L, c_star)
-    ct = check_theta_dc(params.theta0, params.alpha, L, c_star)
-    if not ca.passed or not ct.passed:
-        failed = [c.kind for c in (ca, ct) if not c.passed]
-        raise PreconditionFailed(
-            f"Diophantine certificates failed at (L={L}, c_star={c_star}): {failed}")
-
+    _require_diophantine(params, L, c_star)
     sites = _enumerate_nonzero(L, params.d)
     sites = np.vstack([np.zeros((1, params.d), dtype=int), sites])
     mus = _mu_array(sites, params, np.array([params.m]))[:, 0]
@@ -576,14 +573,7 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     The theoretical complement bound L^(50 d b^2) * eta^(1/(b+2)) is
     reported but not enforced (it is vacuous at desk scales).
     """
-    c_star = float(L) ** (-3 * params.d)
-    ca = check_alpha_dc(params.alpha, L, c_star)
-    ct = check_theta_dc(params.theta0, params.alpha, L, c_star)
-    if not ca.passed or not ct.passed:
-        failed = [c.kind for c in (ca, ct) if not c.passed]
-        raise PreconditionFailed(
-            f"(alpha, theta0) not certified at (L={L}, c_star={c_star:.3e}): {failed}")
-
+    _require_diophantine(params, L, float(L) ** (-3 * params.d))
     m_grid = np.atleast_1d(np.asarray(m_grid, dtype=float))
     nm = len(m_grid)
     space = box_vectors((0,) * params.d, (L,) * params.d)  # (Ns, d)

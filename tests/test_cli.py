@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qpwave import SolverConfig, cli
+from qpwave import cli
 
 
 def run(args):
@@ -36,13 +36,18 @@ class TestConfig:
         for name in ("trivial", "small-coupling", "scan-demo"):
             cfg = cli.preset_config(name)
             cli.model_params(cfg)
-            cli.solver_config(cfg)
+            for cls in cli.SCHEMA:
+                cli.config_block(cfg, cls)
 
     def test_config_with_legacy_seed_loads(self, workdir):
-        # fields earlier versions wrote: a top-level seed and the solver's
-        # dense/sparse switch
+        # fields earlier versions wrote: a top-level seed, the solver's
+        # dense/sparse switch, the Diophantine scale exponent and the
+        # theta-scan exponent
+        default = cli.default_config()
         for block, field, value in ((None, "seed", 20240601),
-                                    ("solver", "dense_size_limit", 5000)):
+                                    ("solver", "dense_size_limit", 5000),
+                                    ("model", "k_exponent", 5.0),
+                                    ("scan", "rho4", 0.05)):
             cfg = cli.default_config()
             target = cfg if block is None else cfg[block]
             assert field not in target
@@ -50,7 +55,9 @@ class TestConfig:
             path = workdir / "legacy.txt"
             cli.write_file(path, cfg)
             assert cli.load_config(path) == cfg
-            assert cli.solver_config(cfg) == SolverConfig()
+            assert cli.model_params(cfg) == cli.model_params(default)
+            for cls in cli.SCHEMA:
+                assert cli.config_block(cfg, cls) == cls()
 
     @pytest.mark.parametrize("field, value", [
         ("M", 1), ("r_max", 0), ("r_max", -3), ("residual_floor", 0.0),
@@ -298,7 +305,8 @@ class TestLdeScan:
 
     @pytest.mark.parametrize("field, value", [
         ("M", 1), ("num_sigma", 0), ("max_regions", 0),
-        ("window", [2.0, -2.0]),
+        ("window", [2.0, -2.0]), ("gamma_prime", "abc"),
+        ("gamma_prime", -2.0), ("rho1", 0.0), ("rho2", 0.0), ("rho3", 0.0),
     ])
     def test_out_of_range_scan_block_is_bad_config(self, workdir, field,
                                                     value):
@@ -327,6 +335,24 @@ class TestOracleCompare:
                  "--out", workdir, workdir / "solution.txt", "--box", "0"])
         assert err.value.code == cli.EXIT_BAD_CONFIG
         assert "box radius must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solution", [
+        {"records": None, "omega": [2.0]},
+        {"records": [[0, [0], 1.0]], "omega": [2.0]},
+        {"records": [], "omega": None},
+        {"records": [], "omega": [2.0, 2.0]},
+        [],
+    ], ids=["null-records", "scalar-k", "null-omega", "omega-length",
+            "top-level-list"])
+    def test_malformed_solution_file_is_bad_config(self, workdir, capsys,
+                                                   solution):
+        path = workdir / "solution.txt"
+        cli.write_file(path, solution)
+        code = run(["oracle-compare", "--preset", "small-coupling",
+                    "--out", workdir, path, "--box", "2"])
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "malformed solution file" in capsys.readouterr().err
+        assert not (workdir / "oracle_compare.txt").exists()
 
     def test_oversized_box_is_bad_config(self, workdir, capsys):
         run(["solve", "--preset", "small-coupling", "--out", workdir,

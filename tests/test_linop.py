@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qpwave import (AsymmetricKernel, CoefficientField, OperatorSpec, Singular,
-                    Thresholds, assemble, assemble_sparse, block_spectral_bound,
-                    cube, green, green_matrix, lde_scan, linearize, mu, omega0,
+from qpwave import (AsymmetricKernel, CoefficientField, ComplementSingular,
+                    OperatorSpec, Singular, Thresholds, assemble,
+                    assemble_sparse, block_spectral_bound, cube, green,
+                    green_matrix, lde_scan, linearize, mu, omega0,
                     qp_schrodinger_green, schur_complement)
 from qpwave.linop import (default_sigma_window, diagonal_bad_intervals,
                           elementary_region_family, qp_schrodinger_matrix,
@@ -342,6 +343,28 @@ class TestSchurComplement:
         g_norm = float(np.linalg.norm(np.linalg.inv(a), 2))
         assert g_norm <= rep.bound_rhs
         assert rep.bound_holds
+
+    def test_singular_complement_raises(self, params_uncoupled):
+        # sigma = mu_0 makes the diagonal entry D(0, 0) exactly zero, and the
+        # site (0, 0) stays in the complement
+        region = cube(1, 1, 1)
+        spec = op_spec(params_uncoupled, region=region,
+                       sigma=mu((0,), params_uncoupled))
+        origin = Site((0,), (0,))
+        assert assemble(spec)[region.members().index(origin)].max() == 0.0
+        other = next(s for s in region.members() if s != origin)
+        with pytest.raises(ComplementSingular):
+            schur_complement(spec, [other])
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("field, value", [
+        ("rho1", math.nan), ("rho2", 0.0), ("rho3", math.inf),
+        ("gamma_prime", -1.0),
+    ])
+    def test_out_of_range_field_raises(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Thresholds(**{field: value})
 
 
 class TestBlockSpectral:
