@@ -2,12 +2,11 @@
 equations: arithmetic non-resonance certification, Green's-function
 diagnostics and a staged constructive solver."""
 
-from .errors import (AsymmetricKernel, ComplementSingular, EmptyRegion,
-                     FrequencyCollapse, InsufficientData,
-                     InsufficientResolution, InvalidAnchors, NonConvergence,
-                     NotApplicable, OracleDiverged, OracleTooLarge,
-                     OutOfRegion, PreconditionFailed, QPWaveError,
-                     ResonantBox, Singular)
+from .errors import (ComplementSingular, EmptyRegion, FrequencyCollapse,
+                     InsufficientData, InsufficientResolution,
+                     InvalidAnchors, NonConvergence, NotApplicable,
+                     OracleDiverged, OracleTooLarge, OutOfRegion,
+                     PreconditionFailed, QPWaveError, ResonantBox, Singular)
 from .lattice import (RegionSpec, ResonantSet, Site, cube, index_map,
                       region_members)
 from .spectrum import (AdmissibleMScan, Certificate, FrequencyCombination,

@@ -37,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from . import linop, solver, spectrum
-from .errors import NonConvergence, QPWaveError, ResonantBox, check_ranges
+from .errors import (NonConvergence, QPWaveError, ResonantBox, cast_number,
+                     check_ranges)
 from .lattice import Site
 from .nonlin import CoefficientField, linearize
 from .spectrum import Certificate, ModelParams
@@ -159,15 +160,16 @@ class ScanConfig:
 
     def __post_init__(self):
         if self.window is not None:
-            object.__setattr__(self, "window",
-                               tuple(float(x) for x in self.window))
+            object.__setattr__(self, "window", tuple(
+                cast_number("scan.window", x, float) for x in self.window))
         check_ranges("scan.", self, (
             ("M", self.M >= 2, ">= 2"),
             ("num_sigma", self.num_sigma >= 2, ">= 2"),
             ("max_regions", self.max_regions >= 1, ">= 1"),
             ("window", self.window is None or (
-                len(self.window) == 2 and self.window[0] < self.window[1]),
-             "null or [lo, hi] with lo < hi")))
+                len(self.window) == 2
+                and -math.inf < self.window[0] < self.window[1] < math.inf),
+             "null or finite [lo, hi] with lo < hi")))
 
 
 # the config block each dataclass reads; it owns the block's defaults and
@@ -206,24 +208,32 @@ def preset_config(name: str) -> dict:
 
 def model_params(cfg: dict) -> ModelParams:
     m = cfg["model"]
+
+    def cast(key, value, typ):
+        return cast_number(f"model.{key}", value, typ)
+
     return ModelParams(
-        b=int(m["b"]), d=int(m["d"]), p=int(m["p"]), m=float(m["m"]),
-        eps=float(m["eps"]), delta=float(m["delta"]),
-        alpha=tuple(float(a) for a in m["alpha"]), theta0=float(m["theta0"]),
-        anchors=tuple(tuple(int(x) for x in n) for n in m["anchors"]),
-        amplitudes=tuple(float(a) for a in m["amplitudes"]),
-        gamma=float(m.get("gamma", ModelParams.gamma)),
+        **{key: cast(key, m[key], typ) for key, typ in (
+            ("b", int), ("d", int), ("p", int), ("m", float), ("eps", float),
+            ("delta", float), ("theta0", float))},
+        alpha=tuple(cast("alpha", a, float) for a in m["alpha"]),
+        anchors=tuple(tuple(cast("anchors", x, int) for x in n)
+                      for n in m["anchors"]),
+        amplitudes=tuple(cast("amplitudes", a, float) for a in m["amplitudes"]),
+        gamma=cast("gamma", m.get("gamma", ModelParams.gamma), float),
     )
 
 
 def config_block(cfg: dict, cls):
     """``cls`` built from its config block (``SCHEMA``): the fields the block
-    names over the defaults, cast to the defaults' types; a field whose
-    default is None takes the value (``null`` included) uncast.  ``cls``
-    range-checks them; keys it does not name are ignored."""
+    names over the defaults, cast by ``errors.cast_number`` to the defaults'
+    types; a field whose default is None takes the value (``null``
+    included) as it is.  ``cls`` range-checks them; keys it does not name
+    are ignored."""
     block = cfg.get(SCHEMA[cls], {})
     return cls(**{f.name: block[f.name] if f.default is None
-                  else type(f.default)(block[f.name])
+                  else cast_number(f"{SCHEMA[cls]}.{f.name}", block[f.name],
+                                   type(f.default))
                   for f in dataclasses.fields(cls) if f.name in block})
 
 
@@ -237,7 +247,8 @@ def load_config(path=None, preset=None) -> dict:
         if block in cfg and not isinstance(cfg[block], dict):
             raise ValueError(f"config block '{block}' must be an object, "
                              f"got {cfg[block]!r}")
-    if int(cfg.get("format_version", FORMAT_VERSION)) != FORMAT_VERSION:
+    if cast_number("format_version", cfg.get("format_version", FORMAT_VERSION),
+                   int) != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {cfg.get('format_version')}")
     model_params(cfg)   # range checks happen at load time
     for cls in SCHEMA:

@@ -1,9 +1,22 @@
-"""Exception types, and the range check of config dataclasses, shared
+"""Exception types, and the cast and range check of config fields, shared
 across the package.
 
 Every named failure mode gets its own class so callers (and the CLI exit-code
 mapping) can discriminate without string matching.
 """
+
+import numbers
+
+
+def cast_number(name: str, value, typ):
+    """``value`` as ``typ`` (int or float), or ValueError naming ``name``: an
+    int field takes an integral number, a float field any real number, and
+    neither takes a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or typ is int and value % 1 != 0:
+        kind = "an integer" if typ is int else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return typ(value)
 
 
 def check_ranges(prefix: str, obj, rules) -> None:
@@ -41,10 +54,6 @@ class NotApplicable(QPWaveError):
 
 class InsufficientResolution(QPWaveError):
     """A sampling grid is too coarse for the requested tolerance."""
-
-
-class AsymmetricKernel(QPWaveError):
-    """A convolution kernel violates the required k -> -k symmetry."""
 
 
 class Singular(QPWaveError):

@@ -21,13 +21,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (AsymmetricKernel, ComplementSingular, Singular,
-                     check_ranges)
+from .errors import ComplementSingular, Singular, cast_number, check_ranges
 from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, box_vectors,
                       index_map, neighbor_offsets)
 from .nonlin import CoefficientField
@@ -50,51 +49,33 @@ class Thresholds:
 
     def __post_init__(self):
         if self.gamma_prime is not None:
-            object.__setattr__(self, "gamma_prime", float(self.gamma_prime))
+            object.__setattr__(self, "gamma_prime",
+                               cast_number("gamma_prime", self.gamma_prime, float))
         check_ranges("", self, [
             (name, 0.0 < v < math.inf, "positive and finite")
             for name, v in dataclasses.asdict(self).items() if v is not None])
 
-    def decay_rate(self, gamma: float, scale: float) -> float:
-        if self.gamma_prime is not None:
-            return self.gamma_prime
-        return gamma - scale ** -0.2
+    def bounds(self, gamma: float, scale: float) -> tuple:
+        """(exp(M^rho2), gamma', M^rho3) at scale M, model decay rate gamma."""
+        rate = self.gamma_prime if self.gamma_prime is not None \
+            else gamma - scale ** -0.2
+        return math.exp(scale ** self.rho2), rate, scale ** self.rho3
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """One restricted operator instance H(sigma) on a region.
 
-    ``kernel`` is the symmetric convolution kernel phi (a CoefficientField,
-    a raw {(k, n): value} mapping, or None for phi = 0).  For the linearized
-    operator of a state q, pass ``nonlin.linearize(q, p)``.
+    ``kernel`` is the convolution kernel phi (a CoefficientField, symmetric
+    by construction; build one with ``from_entries``) or None for phi = 0.
+    For the linearized operator of a state q, pass ``nonlin.linearize(q, p)``.
     """
 
     region: RegionSpec
     sigma: float
     omega: tuple
     params: ModelParams
-    kernel: Optional[Union[CoefficientField, dict]] = None
-
-    def kernel_slices(self) -> Dict[tuple, Dict[tuple, float]]:
-        """n -> {k_offset: phi(k_offset, n)} with symmetry validated."""
-        if self.kernel is None:
-            return {}
-        if isinstance(self.kernel, CoefficientField):
-            items = list(self.kernel.full_items())
-        else:
-            items = [(tuple(k), tuple(n), float(v))
-                     for (k, n), v in self.kernel.items()]
-            seen = {(k, n): v for k, n, v in items}
-            for (k, n), v in seen.items():
-                mirror = seen.get((tuple(-x for x in k), n))
-                if mirror is None or mirror != v:
-                    raise AsymmetricKernel(
-                        f"kernel violates phi(k,n) = phi(-k,n) at ({k}, {n})")
-        out: Dict[tuple, Dict[tuple, float]] = {}
-        for k, n, v in items:
-            out.setdefault(n, {})[k] = v
-        return out
+    kernel: Optional[CoefficientField] = None
 
 
 def _per_distinct(rows: np.ndarray, fn) -> np.ndarray:
@@ -147,7 +128,8 @@ def _assemble_entries(spec: OperatorSpec) -> _Entries:
         offs = np.zeros((2 * d, b + d), dtype=int)
         offs[:, b:] = neighbor_offsets(d)
         couple(np.arange(idx.size), offs, np.full(2 * d, params.eps))
-    for n, sl in spec.kernel_slices().items():
+    slices = spec.kernel.by_site() if spec.kernel is not None else {}
+    for n, sl in slices.items():
         i = np.flatnonzero((vecs[:, b:] == n).all(axis=1))
         offs = np.zeros((len(sl), b + d), dtype=int)
         offs[:, :b] = -np.array(list(sl)).reshape(len(sl), b)
@@ -222,18 +204,20 @@ def _eig_extent(matrix: np.ndarray) -> tuple:
     return smallest, largest
 
 
+def _inverse_norm(abs_eig: np.ndarray) -> float:
+    """Reported 1 / min |eigenvalue|: inf at exactly 0, no singular guard."""
+    smallest = float(abs_eig.min())
+    return math.inf if smallest == 0.0 else 1.0 / smallest
+
+
 def _green_report(matrix: np.ndarray, vecs: np.ndarray, scale: float,
-                  thresholds: Thresholds, gamma: float,
-                  decay_rate: Optional[float] = None) -> GreenReport:
+                  norm_bound: float, rate_req: float,
+                  min_dist: float) -> GreenReport:
+    """Invert ``matrix`` (rows at ``vecs``) and check the three bounds."""
     smallest, largest = _eig_extent(matrix)
     green = np.linalg.inv(matrix)
     norm = 1.0 / smallest
     inv_res = float(np.abs(matrix @ green - np.eye(len(vecs))).max())
-
-    norm_bound = math.exp(scale ** thresholds.rho2)
-    rate_req = decay_rate if decay_rate is not None \
-        else thresholds.decay_rate(gamma, scale)
-    min_dist = scale ** thresholds.rho3
 
     dists = _pair_distances(vecs)
     far = dists >= min_dist
@@ -278,8 +262,8 @@ def green(spec: OperatorSpec, thresholds: Thresholds = Thresholds(),
     """
     matrix = assemble(spec)
     m_scale = float(spec.region.diameter()) if scale is None else float(scale)
-    return _green_report(matrix, spec.region.vectors(), m_scale, thresholds,
-                         spec.params.gamma)
+    return _green_report(matrix, spec.region.vectors(), m_scale,
+                         *thresholds.bounds(spec.params.gamma, m_scale))
 
 
 def green_matrix(spec: OperatorSpec) -> np.ndarray:
@@ -538,9 +522,7 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     window = (float(sigma_grid.min()), float(sigma_grid.max()))
 
-    norm_bound = math.exp(float(M) ** thresholds.rho2)
-    rate_req = thresholds.decay_rate(params.gamma, float(M))
-    min_dist = float(M) ** thresholds.rho3
+    norm_bound, rate_req, min_dist = thresholds.bounds(params.gamma, float(M))
 
     n_sigma = len(sigma_grid)
     bad = np.zeros(n_sigma, dtype=bool)
@@ -641,7 +623,7 @@ def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
             raise ComplementSingular(
                 f"complement block singular (min |eig| = {eig.min():.3e})")
         gcc = np.linalg.inv(hcc)
-        gc_norm = 1.0 / eig.min()
+        gc_norm = _inverse_norm(eig)
     else:
         gcc = np.zeros((0, 0))
         gc_norm = 0.0
@@ -652,21 +634,20 @@ def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
         schur = hbb - hbc @ gcc @ hbc.T
         s_eig = np.abs(np.linalg.eigvalsh(schur))
         s_min = float(s_eig.min())
-        s_inv_norm = np.inf if s_min == 0.0 else 1.0 / s_min
+        s_inv_norm = _inverse_norm(s_eig)
     else:
         schur = np.zeros((0, 0))
         s_min = float("inf")
         s_inv_norm = 0.0
 
-    eig_full = np.abs(np.linalg.eigvalsh(matrix))
-    g_norm = np.inf if eig_full.min() == 0.0 else 1.0 / eig_full.min()
+    g_norm = _inverse_norm(np.abs(np.linalg.eigvalsh(matrix)))
     rhs = 4.0 * (1.0 + gc_norm) ** 2 * (1.0 + s_inv_norm)
     return SchurReport(
         schur_matrix=schur,
         min_singular_value=s_min,
         complement_green_norm=gc_norm,
-        green_norm=float(g_norm),
-        bound_rhs=float(rhs),
+        green_norm=g_norm,
+        bound_rhs=rhs,
         bound_holds=bool(g_norm <= rhs),
     )
 
@@ -708,18 +689,13 @@ def block_spectral_bound(k: Sequence[int], space_sites: Sequence,
     rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
     block = _space_block(rows, params.eps,
                          _per_distinct(rows, lambda n: mu(n, params) ** 2))
-    nn = len(block)
     zetas = np.linalg.eigvalsh(block)
     shift = float(sigma + np.dot(k, np.asarray(omega, dtype=float)))
-    gaps = np.abs(zetas - shift**2)
-    inv_bound = np.inf if gaps.min() == 0.0 else float(1.0 / gaps.min())
-    full = block - shift**2 * np.eye(nn)
-    eig_full = np.abs(np.linalg.eigvalsh(full))
-    direct = np.inf if eig_full.min() == 0.0 else float(1.0 / eig_full.min())
+    full = block - shift**2 * np.eye(len(block))
     return BlockSpectralReport(
         eigenvalues=zetas,
-        inverse_norm_bound=inv_bound,
-        direct_inverse_norm=direct,
+        inverse_norm_bound=_inverse_norm(np.abs(zetas - shift**2)),
+        direct_inverse_norm=_inverse_norm(np.abs(np.linalg.eigvalsh(full))),
         negative_shift=bool((zetas <= 0.0).any()),
     )
 
@@ -742,33 +718,26 @@ def qp_schrodinger_matrix(space_sites: Sequence, energy: float, theta: float,
     return _space_block(rows, params.eps, np.array(diagonal))
 
 
-def qp_schrodinger_green(space_region: Union[RegionSpec, Sequence], energy: float,
+def qp_schrodinger_green(space_sites: Sequence, energy: float,
                          theta: float, params: ModelParams,
                          thresholds: Thresholds = Thresholds(),
                          scale: Optional[float] = None) -> GreenReport:
     """Green diagnostics for the auxiliary space-direction block operator.
 
     The norm bound is exp(sqrt(N)) and the required off-diagonal rate is
-    |log eps| / 2 at distances >= N^rho3 (N the region scale).  Raises
-    Singular for near-singular instances; the verdict is per (E, theta).
+    |log eps| / 2 at distances >= N^rho3 (N the scale, by default the sites'
+    diameter).  Raises Singular for near-singular instances; the verdict is
+    per (E, theta).
     """
-    if isinstance(space_region, RegionSpec):
-        rows = space_region.vectors()[:, space_region.b:]
-        n_scale = float(space_region.diameter()) if scale is None else float(scale)
-    else:
-        rows = np.asarray(space_region, dtype=int).reshape(len(space_region), -1)
-        n_scale = float((rows.max(axis=0) - rows.min(axis=0)).max()) \
-            if scale is None else float(scale)
+    rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
+    n_scale = float((rows.max(axis=0) - rows.min(axis=0)).max()) \
+        if scale is None else float(scale)
     matrix = qp_schrodinger_matrix(rows, energy, theta, params)
     # eps = 0 decouples the sites entirely: the required rate is infinite and
     # the (identically zero) off-diagonal satisfies it.
     rate = 0.5 * abs(math.log(params.eps)) if params.eps > 0.0 else math.inf
-    report = _green_report(matrix, rows, n_scale, thresholds,
-                           params.gamma, decay_rate=rate)
-    # replace the generic norm bound exp(N^rho2) by exp(sqrt(N))
-    bound = math.exp(math.sqrt(n_scale))
-    return dataclasses.replace(report, norm_bound=bound,
-                               norm_ok=bool(report.operator_norm <= bound))
+    return _green_report(matrix, rows, n_scale, math.exp(math.sqrt(n_scale)),
+                         rate, n_scale ** thresholds.rho3)
 
 
 def qp_schrodinger_theta_scan(N: int, energy: float, params: ModelParams,

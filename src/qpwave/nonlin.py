@@ -152,16 +152,16 @@ class CoefficientField:
         return CoefficientField({k: factor * v for k, v in self._data.items()},
                                 self.b, self.d, _trusted=True)
 
-
-def _slices(q: CoefficientField) -> Dict[tuple, Dict[tuple, float]]:
-    """q grouped by space site: n -> {k: value} over both k and -k."""
-    out: Dict[tuple, Dict[tuple, float]] = {}
-    for (k, n), v in q._data.items():
-        row = out.setdefault(n, {})
-        row[k] = v
-        if any(k):
-            row[tuple(-x for x in k)] = v
-    return out
+    def by_site(self) -> Dict[tuple, Dict[tuple, float]]:
+        """The field grouped by space site: n -> {k: value} over both k and
+        -k, in the order of :meth:`full_items`."""
+        out: Dict[tuple, Dict[tuple, float]] = {}
+        for (k, n), v in self._data.items():
+            row = out.setdefault(n, {})
+            row[k] = v
+            if any(k):
+                row[tuple(-x for x in k)] = v
+        return out
 
 
 def convolve(qa: CoefficientField, qb: CoefficientField) -> CoefficientField:
@@ -170,9 +170,9 @@ def convolve(qa: CoefficientField, qb: CoefficientField) -> CoefficientField:
     site once."""
     if (qa.b, qa.d) != (qb.b, qb.d):
         raise ValueError("fields live on different lattices")
-    slices_b = _slices(qb)
+    slices_b = qb.by_site()
     data: Dict[tuple, float] = {}
-    for n, a in _slices(qa).items():
+    for n, a in qa.by_site().items():
         b = slices_b.get(n)
         if b is None:
             continue

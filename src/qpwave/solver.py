@@ -392,14 +392,17 @@ def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
     minus the resonant set, plus the b frequencies; equations are F at those
     sites plus the b Q-equations.  The Jacobian is assembled in closed form.
     """
-    resonant = params.resonant_set()
-    region = cube(box, params.b, params.d, excluded=resonant)
-    unknown_sites = [s for s in region.members() if canonical_k(s.k) == s.k]
-    n_unknowns = len(unknown_sites)
+    # canonical k (k = 0 and half the rest) times the space sites, minus the
+    # resonant (e_l, n^(l)) inside the box: counted before any site is built
+    side = 2 * box + 1
+    n_unknowns = (side ** params.b + 1) // 2 * side ** params.d - sum(
+        max(map(abs, n)) <= box for n in params.anchors)
     if n_unknowns + params.b > 10_000:
         raise OracleTooLarge(
             f"oracle box {box}: truncated system has {n_unknowns + params.b} "
             f"unknowns (> 10^4)")
+    region = cube(box, params.b, params.d, excluded=params.resonant_set())
+    unknown_sites = [s for s in region.members() if canonical_k(s.k) == s.k]
     col = {s: i for i, s in enumerate(unknown_sites)}
     anchor_rows = [(unit_k(l, params.b), tuple(n), a)
                    for l, (n, a) in enumerate(

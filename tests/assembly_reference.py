@@ -22,7 +22,10 @@ def reference_entries(spec):
     index = {s: i for i, s in enumerate(sites)}
     params = spec.params
     omega = np.asarray(spec.omega, dtype=float)
-    slices = spec.kernel_slices()
+    slices = {}
+    if spec.kernel is not None:
+        for k, n, v in spec.kernel.full_items():
+            slices.setdefault(n, {})[k] = v
 
     rows, cols, vals = [], [], []
     mu2_cache: Dict[tuple, float] = {}

@@ -24,7 +24,8 @@ def reference_lde_scan(M, params, omega, kernel, sigma_grid,
                                       params.resonant_set(), max_regions)
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     norm_bound = math.exp(float(M) ** thresholds.rho2)
-    rate_req = thresholds.decay_rate(params.gamma, float(M))
+    rate_req = thresholds.gamma_prime if thresholds.gamma_prime is not None \
+        else params.gamma - float(M) ** -0.2
     min_dist = float(M) ** thresholds.rho3
 
     prepared = []

@@ -64,7 +64,7 @@ class TestConfig:
         ("residual_floor", -1.0), ("q_update_damping", 0.0),
         ("q_update_damping", 1.5), ("max_condition", -1.0),
         ("max_condition", 0.5),
-        ("coupling_limit", 0.0),
+        ("coupling_limit", 0.0), ("M", 3.7), ("M", "3"), ("r_max", True),
     ])
     def test_out_of_range_solver_block_is_bad_config(self, workdir, field,
                                                      value):
@@ -75,6 +75,18 @@ class TestConfig:
         assert run(["solve", "--config", path, "--out", workdir,
                     "--force"]) == cli.EXIT_BAD_CONFIG
         assert not (workdir / "solution.txt").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("b", 1.9), ("d", True), ("anchors", [[0.5]]), ("m", "2.5"),
+    ])
+    def test_mistyped_model_field_is_bad_config(self, workdir, field, value):
+        cfg = cli.default_config()
+        cfg["model"][field] = value
+        path = workdir / "model.txt"
+        cli.write_file(path, cfg)
+        assert run(["certify", "--config", path, "--out", workdir]) == \
+            cli.EXIT_BAD_CONFIG
+        assert not (workdir / "certificates.txt").exists()
 
     def test_invalid_config_exit_code(self, workdir):
         bad = cli.default_config()
@@ -96,6 +108,15 @@ class TestConfig:
         assert run(["certify", "--config", path]) == cli.EXIT_BAD_CONFIG
         assert not (workdir / "qpwave-out").exists()
 
+    @pytest.mark.parametrize("version", [1.5, True, "1", 2])
+    def test_bad_format_version_is_bad_config(self, workdir, version):
+        cfg = cli.default_config()
+        cfg["format_version"] = version
+        path = workdir / "version.txt"
+        cli.write_file(path, cfg)
+        assert run(["certify", "--config", path, "--out", workdir]) == \
+            cli.EXIT_BAD_CONFIG
+
     def test_malformed_config_exit_code(self, workdir):
         path = workdir / "broken.txt"
         path.write_text("{not valid json]")
@@ -107,6 +128,7 @@ class TestCertify:
     @pytest.mark.parametrize("field, value", [
         ("L", 0), ("c_star", 1.0), ("eta", 0.0), ("m_grid_points", 0),
         ("sigma_grid_points", 0), ("transversality_m_points", 0),
+        ("L", True), ("m_grid_points", 20.5), ("eta", True),
     ])
     def test_out_of_range_cert_block_is_bad_config(self, workdir, field,
                                                    value):
@@ -307,6 +329,8 @@ class TestLdeScan:
         ("M", 1), ("num_sigma", 0), ("max_regions", 0),
         ("window", [2.0, -2.0]), ("gamma_prime", "abc"),
         ("gamma_prime", -2.0), ("rho1", 0.0), ("rho2", 0.0), ("rho3", 0.0),
+        ("rho1", True), ("gamma_prime", True), ("num_sigma", 101.5),
+        ("window", [-math.inf, 2.0]), ("window", [True, 2.0]),
     ])
     def test_out_of_range_scan_block_is_bad_config(self, workdir, field,
                                                     value):
@@ -355,10 +379,13 @@ class TestOracleCompare:
         assert not (workdir / "oracle_compare.txt").exists()
 
     def test_oversized_box_is_bad_config(self, workdir, capsys):
+        # box 3000 (36M sites) is refused before any site is built
         run(["solve", "--preset", "small-coupling", "--out", workdir,
              "--force"])
-        code = run(["oracle-compare", "--preset", "small-coupling",
-                    "--out", workdir, workdir / "solution.txt", "--box", "80"])
-        assert code == cli.EXIT_BAD_CONFIG
-        assert "unknowns (> 10^4)" in capsys.readouterr().err
-        assert not (workdir / "oracle_compare.txt").exists()
+        for box in ("80", "3000"):
+            code = run(["oracle-compare", "--preset", "small-coupling",
+                        "--out", workdir, workdir / "solution.txt",
+                        "--box", box])
+            assert code == cli.EXIT_BAD_CONFIG
+            assert "unknowns (> 10^4)" in capsys.readouterr().err
+            assert not (workdir / "oracle_compare.txt").exists()

@@ -385,6 +385,13 @@ class TestAdmissibleMScan:
         assert scan.theoretical_bound > 1.0
         assert not scan.theoretical_bound_feasible
 
+    def test_theoretical_bound_past_float_range_is_infinite(self):
+        # L^(50 d b^2) = 5^450 alone overflows a float
+        scan = admissible_m_scan(golden_params(b=3), L=5, eta=1e-3,
+                                 m_grid=np.linspace(2.0, 3.0, 5))
+        assert scan.theoretical_bound == math.inf
+        assert not scan.theoretical_bound_feasible
+
 
 class TestClusterCount:
     def test_far_sigma_empty(self):
