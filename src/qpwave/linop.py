@@ -12,8 +12,9 @@ the Green's function diagnostics and the Schur complement) or as CSR
 carry the operator norm, a fitted off-diagonal decay rate and pass flags
 against exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
 Scans over the spectral shift classify each grid sigma as good or bad for a
-subsampled family of translated elementary regions, reusing each region's
-assembled entries; bad fractions are reported against exp(-M^rho1).
+subsampled family of translated elementary regions, whose entries are
+restricted from one assembly on the family's union; bad fractions are
+reported against exp(-M^rho1).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .spectrum import ModelParams, mu
 SINGULARITY_RTOL = 1e-14
 DECAY_FIT_FLOOR = 1e-30
 MAX_FAMILY_REGIONS = 64
+# bytes of one stack of coupled-block matrices in the LDE scan
+BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -98,20 +101,32 @@ class _Entries(NamedTuple):
     cols: np.ndarray
     vals: np.ndarray
 
+    def restrict(self, idx: RegionIndex) -> "_Entries":
+        """The entries on the sub-region indexed by ``idx``: every entry
+        depends only on the sites it sits on, so this is the sub-region's own
+        assembly, with its edges in another order."""
+        at = self.index.lookup(idx.vectors)
+        local = np.full(self.index.size, -1)
+        local[at] = np.arange(idx.size)
+        rows, cols = local[self.rows], local[self.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        return _Entries(idx, self.mu2[at], self.kw[at], self.diag[at],
+                        rows[keep], cols[keep], self.vals[keep])
 
-def _assemble_entries(spec: OperatorSpec) -> _Entries:
-    """The entries of H(sigma), found through the region's row index.  k.omega
-    and mu_n^2 are evaluated once per distinct k and n with the scalar
-    ``np.dot`` and ``mu``, so every entry has the bits of the site-by-site
-    formula.  No (row, col) pair occurs twice."""
-    idx = index_map(spec.region)
-    params = spec.params
+
+def _entries_on(idx: RegionIndex, sigma: float, omega: Sequence[float],
+                params: ModelParams,
+                kernel: Optional[CoefficientField]) -> _Entries:
+    """The entries of H(sigma) on the rows of ``idx``.  k.omega and mu_n^2 are
+    evaluated once per distinct k and n with the scalar ``np.dot`` and ``mu``,
+    so every entry has the bits of the site-by-site formula.  No (row, col)
+    pair occurs twice."""
     b, d = params.b, params.d
     vecs = idx.vectors
-    omega = np.asarray(spec.omega, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     kw = _per_distinct(vecs[:, :b], lambda k: float(np.dot(k, omega)))
     mu2 = _per_distinct(vecs[:, b:], lambda n: mu(n, params) ** 2)
-    shift = spec.sigma + kw
+    shift = sigma + kw
     diag = mu2 - shift * shift
 
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
@@ -128,7 +143,7 @@ def _assemble_entries(spec: OperatorSpec) -> _Entries:
         offs = np.zeros((2 * d, b + d), dtype=int)
         offs[:, b:] = neighbor_offsets(d)
         couple(np.arange(idx.size), offs, np.full(2 * d, params.eps))
-    slices = spec.kernel.by_site() if spec.kernel is not None else {}
+    slices = kernel.by_site() if kernel is not None else {}
     for n, sl in slices.items():
         i = np.flatnonzero((vecs[:, b:] == n).all(axis=1))
         offs = np.zeros((len(sl), b + d), dtype=int)
@@ -139,6 +154,12 @@ def _assemble_entries(spec: OperatorSpec) -> _Entries:
         if params.delta != 0.0:
             couple(i, offs[~zero], params.delta * v[~zero])
     return _Entries(idx, mu2, kw, diag, *map(np.concatenate, (rows, cols, vals)))
+
+
+def _assemble_entries(spec: OperatorSpec) -> _Entries:
+    """The entries of H(sigma) on the spec's region."""
+    return _entries_on(index_map(spec.region), spec.sigma, spec.omega,
+                       spec.params, spec.kernel)
 
 
 def assemble(spec: OperatorSpec) -> np.ndarray:
@@ -318,6 +339,12 @@ def elementary_region_family(M: int, b: int, d: int,
     return family
 
 
+def _family_vectors(family: Sequence[RegionSpec]) -> np.ndarray:
+    """The distinct member vectors of a family's regions, in lexicographic
+    order."""
+    return np.unique(np.concatenate([r.vectors() for r in family]), axis=0)
+
+
 @dataclass(frozen=True)
 class LdeScanReport:
     """Good/bad classification of a sigma grid for one scale."""
@@ -350,6 +377,30 @@ def default_sigma_window(M: int, params: ModelParams,
     return (-reach, reach)
 
 
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the undirected graph on 0..n-1 with
+    edges (rows[e], cols[e]), numbered in the order of each component's
+    smallest node.  Every node takes the smallest label among itself and its
+    neighbours, then the label of its label, until nothing changes; the
+    labels are then the components' smallest nodes."""
+    labels = np.arange(n)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = new
+
+
+def _sigma_chunks(count: int, size: int) -> list:
+    """Consecutive slices of range(count) whose stacks of size x size float
+    matrices stay within BATCH_BYTES (one sigma at least)."""
+    step = max(1, BATCH_BYTES // (8 * size * size))
+    return [slice(a, a + step) for a in range(0, count, step)]
+
+
 @dataclass(frozen=True)
 class _CoupledBlock:
     """A connected block whose sites carry several k.omega.  Its diagonal
@@ -362,20 +413,26 @@ class _CoupledBlock:
     far: np.ndarray           # far-pair mask within the block
     decay_bound: np.ndarray   # exp(-gamma' |j-j'|) on the far pairs
 
-    def at(self, sigma: float) -> np.ndarray:
-        a = self.offdiag.copy()
-        np.fill_diagonal(a, self.mu2 - (sigma + self.kw) ** 2 + self.rest)
+    def at(self, sigmas: np.ndarray) -> np.ndarray:
+        """The block at each of ``sigmas``, stacked (len(sigmas), s, s)."""
+        a = np.repeat(self.offdiag[None], len(sigmas), axis=0)
+        diag = np.arange(len(self.kw))
+        a[:, diag, diag] = self.mu2 - (sigmas[:, None] + self.kw) ** 2 \
+            + self.rest
         return a
 
 
 @dataclass(frozen=True)
 class _ScanRegion:
     """One family region split into the connected blocks of its
-    sigma-independent off-diagonal part.
+    sigma-independent off-diagonal part (labelled by ``_components``).
 
     A rigid block has a single k, so H_c(sigma) = B_c - (sigma + k.omega)^2 I
     and the eigenpairs (zeta_l, V) of B_c give every sigma at once: the
     eigenvalues zeta_l - s^2 and G_ij = sum_l V_il V_jl / (zeta_l - s^2).
+    A coupled block is stacked over chunks of the grid of at most
+    BATCH_BYTES and gets one eigvalsh, and one inv over the passing sigmas,
+    per chunk.
     """
 
     zeta: np.ndarray          # eigenvalues of all rigid B_c
@@ -394,10 +451,10 @@ class _ScanRegion:
         smallest = abs_eig.min(axis=1, initial=np.inf)
         largest = abs_eig.max(axis=1, initial=0.0)
         for block in self.coupled:
-            for isg, sigma in enumerate(sigma_grid):
-                block_eig = np.abs(np.linalg.eigvalsh(block.at(sigma)))
-                smallest[isg] = min(smallest[isg], block_eig.min())
-                largest[isg] = max(largest[isg], block_eig.max())
+            for sl in _sigma_chunks(len(sigma_grid), len(block.kw)):
+                block_eig = np.abs(np.linalg.eigvalsh(block.at(sigma_grid[sl])))
+                smallest[sl] = np.minimum(smallest[sl], block_eig.min(axis=1))
+                largest[sl] = np.maximum(largest[sl], block_eig.max(axis=1))
         singular = _is_singular(smallest, largest)
         with np.errstate(divide="ignore"):
             norm = np.where(singular, np.inf, 1.0 / smallest)
@@ -408,25 +465,21 @@ class _ScanRegion:
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = (1.0 / eig) @ self.weights
             margin = np.minimum(margin, (self.pair_bound - np.abs(g)).min(axis=1))
+        passing = np.flatnonzero(ok)
         for block in self.coupled:
             if not block.decay_bound.size:
                 continue
-            for isg in np.flatnonzero(ok):
+            for sl in _sigma_chunks(len(passing), len(block.kw)):
+                isg = passing[sl]
                 g = np.linalg.inv(block.at(sigma_grid[isg]))
-                margin[isg] = min(margin[isg], float(
-                    (block.decay_bound - np.abs(g[block.far])).min()))
+                margin[isg] = np.minimum(margin[isg], (
+                    block.decay_bound - np.abs(g[:, block.far])).min(axis=1))
         return norm, ok, margin
 
 
-def _scan_region(region: RegionSpec, params: ModelParams, omega: Sequence[float],
-                 kernel: Optional[CoefficientField], rate_req: float,
+def _scan_region(ent: _Entries, rate_req: float,
                  min_dist: float) -> _ScanRegion:
-    """Split one region at sigma = 0 into rigid and coupled blocks."""
-    # imported here: csgraph adds about 3 MB to every qpwave import
-    from scipy.sparse.csgraph import connected_components
-
-    ent = _assemble_entries(OperatorSpec(region, 0.0, tuple(omega), params,
-                                         kernel))
+    """Split one region's sigma = 0 entries into rigid and coupled blocks."""
     kw, mu2, n = ent.kw, ent.mu2, ent.index.size
     offdiag = np.zeros((n, n))
     offdiag[ent.rows, ent.cols] += ent.vals
@@ -437,9 +490,7 @@ def _scan_region(region: RegionSpec, params: ModelParams, omega: Sequence[float]
     decay_bound = np.exp(-rate_req * dists)
 
     edge = ent.vals != 0.0
-    graph = sp.csr_matrix((ent.vals[edge], (ent.rows[edge], ent.cols[edge])),
-                          shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    labels = _components(n, ent.rows[edge], ent.cols[edge])
     cross = far & (labels[:, None] != labels[None, :])
     cross_bound = float(decay_bound[cross].min()) if cross.any() else np.inf
     order = np.argsort(labels, kind="stable")
@@ -500,17 +551,20 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     (the asymptotic absolute-measure bound requires scales far beyond any
     grid this tool runs).
 
-    Sigma enters H only on the diagonal, as -(sigma + k.omega)^2, so each
-    region is split once into the connected components of its off-diagonal
-    part; the inverse vanishes between components.  A component on a single
-    k (every site away from the kernel's n-support, and every site when
+    Every region's entries are restricted from one assembly on the union of
+    the family's sites.  Sigma enters H only on the diagonal, as
+    -(sigma + k.omega)^2, so each region is split once into the connected
+    components of its off-diagonal part (by min-label propagation); the
+    inverse vanishes between components.  A component on a single k (every
+    site away from the kernel's n-support, and every site when
     eps = delta = 0) is rigid: one eigendecomposition of its sigma = -k.omega
     matrix gives its eigenvalues and far-pair Green's entries on the whole
-    grid.  The remaining components (those the kernel couples across k) get
-    one eigvalsh per sigma, and one inverse where the region passes the
-    norm checks and the component holds far pairs.  Per sigma and region,
-    min and max |eig| are taken over all components and feed the singular
-    guard; far pairs across components count with G = 0.
+    grid.  The remaining components (those the kernel couples across k) are
+    stacked over chunks of sigmas of at most BATCH_BYTES; each chunk gets one
+    eigvalsh, and, when the component holds far pairs, one inverse over the
+    chunk's sigmas where the region passes the norm checks.  Per sigma and
+    region, min and max |eig| are taken over all components and feed the
+    singular guard; far pairs across components count with G = 0.
     """
     resonant = params.resonant_set()
     family = elementary_region_family(M, params.b, params.d, resonant,
@@ -528,8 +582,11 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     bad = np.zeros(n_sigma, dtype=bool)
     worst_norm = np.zeros(n_sigma)
     worst_decay = np.full(n_sigma, np.inf)
+    union = _entries_on(RegionIndex(_family_vectors(family), params.b), 0.0,
+                        omega, params, kernel)
     for region in family:
-        blocks = _scan_region(region, params, omega, kernel, rate_req, min_dist)
+        blocks = _scan_region(union.restrict(index_map(region)), rate_req,
+                              min_dist)
         norm, ok, margin = blocks.scan(sigma_grid, norm_bound)
         worst_norm = np.maximum(worst_norm, norm)
         worst_decay = np.where(ok, np.minimum(worst_decay, margin), worst_decay)
@@ -572,7 +629,7 @@ def diagonal_bad_intervals(M: int, params: ModelParams, omega: Sequence[float],
     family = elementary_region_family(M, params.b, params.d, resonant,
                                       max_regions)
     t = math.exp(-float(M) ** thresholds.rho2)
-    vecs = np.unique(np.concatenate([r.vectors() for r in family]), axis=0)
+    vecs = _family_vectors(family)
     omega = np.asarray(omega, dtype=float)
     kw = _per_distinct(vecs[:, :params.b], lambda k: float(np.dot(k, omega)))
     m2 = _per_distinct(vecs[:, params.b:], lambda n: mu(n, params) ** 2)

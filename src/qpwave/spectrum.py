@@ -41,7 +41,7 @@ class ModelParams:
     ``alpha`` (length d) and ``theta0`` live in [0,1] and are scaled by 2*pi
     when phases are formed.  ``anchors`` are the b distinct space sites that
     carry the prescribed amplitudes ``amplitudes`` (in [1,2]).  ``gamma`` is
-    the certified decay rate of convolution kernels.
+    the certified decay rate of convolution kernels, positive and finite.
     """
 
     b: int
@@ -84,8 +84,9 @@ class ModelParams:
         if len(amps) != self.b or any(not 1.0 <= a <= 2.0 for a in amps):
             raise ValueError(f"amplitudes must lie in [1,2]^b, got {amps}")
         object.__setattr__(self, "amplitudes", amps)
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(
+                f"gamma must be positive and finite, got {self.gamma}")
 
     # -- derived quantities ---------------------------------------------------
 

@@ -78,6 +78,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("b", 1.9), ("d", True), ("anchors", [[0.5]]), ("m", "2.5"),
+        ("gamma", math.nan), ("gamma", math.inf),
     ])
     def test_mistyped_model_field_is_bad_config(self, workdir, field, value):
         cfg = cli.default_config()

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from qpwave import linop
 from qpwave import (CoefficientField, ComplementSingular,
                     OperatorSpec, Singular, Thresholds, assemble,
                     assemble_sparse, block_spectral_bound, cube, green,
@@ -14,7 +17,8 @@ from qpwave import (CoefficientField, ComplementSingular,
 from qpwave.linop import (default_sigma_window, diagonal_bad_intervals,
                           elementary_region_family, qp_schrodinger_matrix,
                           qp_schrodinger_theta_scan)
-from qpwave.lattice import RegionSpec, Site, box_vectors, canonical_k
+from qpwave.lattice import (RegionIndex, RegionSpec, Site, box_vectors,
+                            canonical_k, index_map)
 from qpwave.solver import initial_field
 
 from assembly_reference import reference_assemble, reference_assemble_sparse
@@ -291,6 +295,53 @@ class TestLdeScan:
         np.testing.assert_allclose(report.worst_decay_margin, worst_decay,
                                    rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("b, d, M", [(1, 1, 8), (2, 1, 4)])
+    def test_one_sigma_chunks_are_bitwise_the_default(self, monkeypatch,
+                                                      b, d, M):
+        p = golden_params(b=b, d=d)
+        om = tuple(float(w) for w in omega0(p))
+        kernel = linearize(initial_field(p), p.p)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a):
+            calls.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        default = lde_scan(M, p, om, kernel=kernel, num_sigma=101)
+        n_default = len(calls)
+        monkeypatch.setattr(linop, "BATCH_BYTES", 1)
+        single = lde_scan(M, p, om, kernel=kernel, num_sigma=101)
+        # the scan has coupled blocks, and one sigma per chunk splits them
+        assert 0 < n_default < len(calls) - n_default
+        assert set(calls[n_default:]) == {1}
+        for name in ("bad_flags", "worst_norm", "worst_decay_margin"):
+            assert getattr(single, name).tobytes() == \
+                getattr(default, name).tobytes()
+
+    @pytest.mark.parametrize("b, d, M", [(1, 1, 8), (2, 1, 4), (1, 2, 4)])
+    def test_union_restriction_is_the_region_assembly(self, b, d, M):
+        p = golden_params(b=b, d=d)
+        om = tuple(float(w) for w in omega0(p))
+        kernel = linearize(initial_field(p), p.p)
+        family = elementary_region_family(M, b, d, p.resonant_set())
+        union = linop._entries_on(
+            RegionIndex(linop._family_vectors(family), b), 0.0, om, p, kernel)
+        for region in family:
+            got = union.restrict(index_map(region))
+            want = linop._assemble_entries(
+                OperatorSpec(region, 0.0, om, p, kernel))
+            for name in ("mu2", "kw", "diag"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes()
+            dense = []
+            for ent in (got, want):
+                a = np.zeros((ent.index.size,) * 2)
+                a[ent.rows, ent.cols] += ent.vals
+                dense.append(a.tobytes())
+            assert dense[0] == dense[1]
+
     def test_family_is_subsampled_and_deduplicated(self):
         fam = elementary_region_family(6, 1, 1, None, max_regions=64)
         assert 1 < len(fam) <= 64
@@ -302,6 +353,21 @@ class TestLdeScan:
         lo, hi = default_sigma_window(8, params, om)
         worst = 4 * abs(om[0]) + mu((0,), params)
         assert lo < -worst and hi > worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30),
+       pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                      max_size=40))
+def test_components_match_csgraph(n, pairs):
+    # isolated nodes, no edges at all and self-loops all occur
+    edges = np.array([(i, j) for i, j in pairs if i < n and j < n],
+                     dtype=int).reshape(-1, 2)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    _, want = connected_components(graph, directed=False)
+    np.testing.assert_array_equal(linop._components(n, rows, cols), want)
 
 
 class TestSchurComplement:
