@@ -3,10 +3,10 @@ equations: arithmetic non-resonance certification, Green's-function
 diagnostics and a staged constructive solver."""
 
 from .errors import (ComplementSingular, EmptyRegion, FrequencyCollapse,
-                     InsufficientData, InsufficientResolution,
-                     InvalidAnchors, NonConvergence, NotApplicable,
-                     OracleDiverged, OracleTooLarge, OutOfRegion,
-                     PreconditionFailed, QPWaveError, ResonantBox, Singular)
+                     InsufficientData, InsufficientResolution, InvalidAnchors,
+                     NonConvergence, NotApplicable, OracleDiverged,
+                     OracleTooLarge, OutOfRegion, PreconditionFailed,
+                     QPWaveError, RegionTooLarge, ResonantBox, Singular)
 from .lattice import (RegionSpec, ResonantSet, Site, cube, index_map,
                       region_members)
 from .spectrum import (AdmissibleMScan, Certificate, FrequencyCombination,

@@ -14,10 +14,11 @@ oracle-compare rerun the dense oracle and report the discrepancy against a
 File formats (format_version 1)
 -------------------------------
 Configs and all structured outputs are JSON text with sorted keys and every
-float printed with 17 significant digits (round-trip exact); files carry the
-full config echo for provenance.  Solution records are rows
-[k-vector, n-vector, value] sorted by (|k|+|n|, lexicographic).  Plot data
-is column text: sigma, worst region norm, worst decay margin, good/bad flag.
+finite float printed with 17 significant digits (round-trip exact); NaN and
++-inf are written as null.  Files carry the full config echo for provenance.
+Solution records are rows [k-vector, n-vector, value] sorted by (|k|+|n|,
+lexicographic).  Plot data is column text: sigma, worst region norm, worst
+decay margin, good/bad flag.
 
 Exit codes: 0 success, 1 certification gate failure, 2 invalid config or
 malformed file, 3 resonant box, 4 non-convergence.
@@ -75,11 +76,7 @@ def _format_value(value, indent: int) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        if math.isnan(v):
-            return "NaN"
-        if math.isinf(v):
-            return "Infinity" if v > 0 else "-Infinity"
-        return format(v, ".17g")
+        return format(v, ".17g") if math.isfinite(v) else "null"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -247,6 +244,9 @@ def load_config(path=None, preset=None) -> dict:
         if block in cfg and not isinstance(cfg[block], dict):
             raise ValueError(f"config block '{block}' must be an object, "
                              f"got {cfg[block]!r}")
+    out_dir = cfg.get("output", {}).get("out_dir", "qpwave-out")
+    if not isinstance(out_dir, str):
+        raise ValueError(f"output.out_dir must be a string, got {out_dir!r}")
     if cast_number("format_version", cfg.get("format_version", FORMAT_VERSION),
                    int) != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {cfg.get('format_version')}")

@@ -108,5 +108,9 @@ class OracleTooLarge(QPWaveError, ValueError):
     """The dense validation oracle refuses a truncated system this large."""
 
 
+class RegionTooLarge(QPWaveError, MemoryError):
+    """A region's bounding box holds too many candidate sites to build."""
+
+
 class InsufficientData(QPWaveError):
     """Not enough support points for a requested fit."""

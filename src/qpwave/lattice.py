@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyRegion, InvalidAnchors, OutOfRegion
+from .errors import EmptyRegion, InvalidAnchors, OutOfRegion, RegionTooLarge
 
 # Regions whose bounding box holds more candidate sites than this are
 # refused: vectors() materializes every candidate as an array row first.
@@ -154,7 +154,7 @@ class RegionSpec:
         if cached is None:
             bound = math.prod(2 * w + 1 for w in self.half_widths)
             if bound > MATERIALIZE_LIMIT:
-                raise MemoryError(
+                raise RegionTooLarge(
                     f"region with {bound} candidate sites exceeds the "
                     f"materialization limit {MATERIALIZE_LIMIT}")
             center = np.asarray(self.base_center.vector)

@@ -4,15 +4,14 @@ The lattice equation F(q) = 0 splits into P-equations (off the resonant
 set, solved for q by a Newton scheme on geometrically growing boxes) and
 Q-equations (on the resonant set, solved for the frequency vector omega;
 the anchored amplitudes q = a_l/2 stay frozen exactly).  At frozen q the
-Q-equations give omega^2 in closed form, so a Q-step is one (optionally
-damped) update of omega^2.  Each stage first applies a Q-step, then one
-smoothed Newton step delta_q = -G * F(q) with G the inverse of the
-linearized operator restricted to the stage box minus the resonant set,
-then a second Q-step so that, undamped, the resonant rows vanish
-identically in the reported residual.  The increment is even in k, so G is
-applied by one sparse LU of the operator folded onto the even subspace,
-and a Higham-Tisseur 1-norm condition estimate of that folded operator
-decides whether the box is resonant.
+Q-equations give omega^2 in closed form, so a Q-step solves them exactly.
+Each stage takes one smoothed Newton step delta_q = -G * F(q), with G the
+inverse of the linearized operator restricted to the stage box minus the
+resonant set, then one Q-step on the new q; the resonant rows of F then
+vanish identically, and the next stage's P-step reuses that F.  The
+increment is even in k, so G is applied by one sparse LU of the operator
+folded onto the even subspace, and a Higham-Tisseur 1-norm condition
+estimate of that folded operator decides whether the box is resonant.
 
 A plain dense Newton iteration on the full truncated system (q off the
 resonant set plus omega, no staging) serves as an independent validation
@@ -43,27 +42,27 @@ from .nonlin import (CoefficientField, ResidualReport, convolve_power,
 from .spectrum import Certificate, ModelParams, mu, omega0
 
 MAX_BOX_SITES = 3_000_000  # admits the full default ladder M=3, r<=6
+MAX_CONDITION = 1e14       # P-step gate: a larger condition estimate is resonant
+COUPLING_LIMIT = 0.1       # largest eps+delta the stage scheme accepts
+DECAY_FIT_MIN_POINTS = 10  # off-resonant points a decay fit needs
+DECAY_FIT_FLOOR = 1e-30    # smaller |q| are left out of a decay fit
+ORACLE_TOLERANCE = 1e-13   # oracle stops once |F| falls below this
+ORACLE_MAX_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Staging, tolerances and the resonant-box condition gate."""
+    """Box growth base M (stage r solves on the box of radius M^r), stage
+    count and residual floor.  Q-steps are exact, so nothing is damped."""
 
-    M: int = 3                      # box growth base; stage r box radius M^r
+    M: int = 3
     r_max: int = 6
     residual_floor: float = 1e-12
-    q_update_damping: float = 1.0   # fraction of the Q update applied per Q-step
-    max_condition: float = 1e14
-    coupling_limit: float = 0.1     # largest eps+delta the stage scheme accepts
 
     def __post_init__(self):
         check_ranges("solver.", self, (
             ("M", self.M >= 2, ">= 2"), ("r_max", self.r_max >= 1, ">= 1"),
-            ("residual_floor", self.residual_floor > 0.0, "> 0"),
-            ("q_update_damping", 0.0 < self.q_update_damping <= 1.0,
-             "in (0, 1]"),
-            ("max_condition", self.max_condition >= 1.0, ">= 1"),
-            ("coupling_limit", self.coupling_limit > 0.0, "> 0")))
+            ("residual_floor", self.residual_floor > 0.0, "> 0")))
 
 
 @dataclass(frozen=True)
@@ -149,16 +148,13 @@ def _q_equation_rhs(q: CoefficientField, params: ModelParams) -> np.ndarray:
     return out
 
 
-def q_step(q: CoefficientField, omega_current: Sequence[float],
-           params: ModelParams, damping: float = 1.0) -> np.ndarray:
+def q_step(q: CoefficientField, params: ModelParams) -> np.ndarray:
     """Solve the Q-equations for omega at frozen q.
 
     The Q-equations fix omega^2 in closed form,
-      target_l = (omega_l^0)^2 + eps*(2/a_l)(Delta q)(e_l, n^(l))
-               + delta*(2/a_l) q_*^{p+1}(e_l, n^(l)),
-    which does not depend on omega.  The step applies the fraction
-    ``damping`` of the update: omega^2 = (1 - damping)*omega_current^2
-    + damping*target, so damping = 1 returns sqrt(target) exactly.
+      omega_l^2 = (omega_l^0)^2 + eps*(2/a_l)(Delta q)(e_l, n^(l))
+                + delta*(2/a_l) q_*^{p+1}(e_l, n^(l)),
+    which does not depend on omega, so the step returns its square root.
     Raises FrequencyCollapse when a squared frequency would turn nonpositive.
     """
     for l, (n, a) in enumerate(zip(params.anchors, params.amplitudes), start=1):
@@ -167,9 +163,7 @@ def q_step(q: CoefficientField, omega_current: Sequence[float],
             raise PreconditionFailed(
                 f"anchor value at l={l} is {q.get(unit_k(l, params.b), n)}, "
                 f"expected a_l/2 = {expected}")
-    target_sq = omega0(params) ** 2 + _q_equation_rhs(q, params)
-    om_sq = ((1.0 - damping) * np.asarray(omega_current, dtype=float) ** 2
-             + damping * target_sq)
+    om_sq = omega0(params) ** 2 + _q_equation_rhs(q, params)
     if (om_sq <= 0.0).any():
         raise FrequencyCollapse(
             f"nonpositive squared frequency {om_sq}; couplings too large")
@@ -184,10 +178,11 @@ class PStepResult:
     condition_estimate: float
 
 
-def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
-           stage: int, config: SolverConfig) -> PStepResult:
+def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
+           params: ModelParams, stage: int, config: SolverConfig) -> PStepResult:
     """One smoothed Newton increment on the stage box minus the resonant set.
 
+    ``f`` is F(q) at ``omega`` (``residual(q, omega, params).field``).
     Solves (D(0) + eps*Delta + delta*T_q) dq = -F(q) restricted to the cube
     of radius M^stage with the resonant set removed.  The cube, the resonant
     set and the operator are symmetric under k -> -k and F(q) is even, so
@@ -195,7 +190,7 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
     (k = 0 or first nonzero entry of k positive), each column added onto
     its mirror's, and factored by sparse LU.  Raises ResonantBox when the
     folded operator is singular or its 1-norm condition estimate exceeds
-    config.max_condition.
+    MAX_CONDITION.
     """
     box = config.M ** stage
     resonant = params.resonant_set()
@@ -216,7 +211,7 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
     kernel = linearize(q, params.p) if params.delta != 0.0 else None
     spec = OperatorSpec(region, 0.0, tuple(float(w) for w in omega), params, kernel)
 
-    f_vecs, f_vals = residual(q, omega, params).field.as_arrays()
+    f_vecs, f_vals = f.as_arrays()
     at = idx.lookup(f_vecs)
     rhs = np.zeros(n_sites)
     rhs[at[at >= 0]] = -f_vals[at >= 0]
@@ -245,7 +240,7 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
                                   rmatvec=lambda v: lu.solve(v, trans="T"))
     inv_norm, w = spla.onenormest(inverse, t=1, compute_w=True)
     cond = float(inv_norm * spla.norm(matrix, 1))
-    if not np.isfinite(cond) or cond > config.max_condition:
+    if not np.isfinite(cond) or cond > MAX_CONDITION:
         worst = (idx.site_of(int(canon[np.argmax(np.abs(w))]))
                  if np.isfinite(cond) else None)
         raise ResonantBox(
@@ -263,22 +258,22 @@ def p_step(q: CoefficientField, omega: Sequence[float], params: ModelParams,
 # decay fitting
 # ---------------------------------------------------------------------------
 
-def decay_fit(q: CoefficientField, resonant_set: Optional[ResonantSet] = None,
-              min_points: int = 10, floor: float = 1e-30) -> DecayFit:
+def decay_fit(q: CoefficientField,
+              resonant_set: Optional[ResonantSet] = None) -> DecayFit:
     """Least-squares decay rate of log|q| against |k| + |n| off the resonant
     set; the rate is the negated slope."""
     xs, ys = [], []
     for k, n, v in q.full_items():
         if resonant_set is not None and Site(k, n) in resonant_set:
             continue
-        if abs(v) <= floor:
+        if abs(v) <= DECAY_FIT_FLOOR:
             continue
         xs.append(float(Site(k, n).order))
         ys.append(math.log(abs(v)))
-    if len(xs) < min_points or len(set(xs)) < 2:
+    if len(xs) < DECAY_FIT_MIN_POINTS or len(set(xs)) < 2:
         raise InsufficientData(
-            f"decay fit needs >= {min_points} off-resonant points above "
-            f"{floor:g}, got {len(xs)}")
+            f"decay fit needs >= {DECAY_FIT_MIN_POINTS} off-resonant points "
+            f"above {DECAY_FIT_FLOOR:g}, got {len(xs)}")
     coeffs, res, *_ = np.polyfit(np.array(xs), np.array(ys), 1, full=True)
     return DecayFit(rate=float(-coeffs[0]), intercept=float(coeffs[1]),
                     fit_residual=float(res[0]) if len(res) else 0.0,
@@ -316,16 +311,18 @@ def _quality_block(q: CoefficientField, omega: np.ndarray, params: ModelParams,
 
 def solve(params: ModelParams, config: SolverConfig = SolverConfig(),
           certificates: Optional[dict] = None) -> Solution:
-    """Alternate Q- and P-steps on growing boxes until the residual floor.
+    """Alternate P- and Q-steps on growing boxes until the residual floor.
 
-    Stage r (r = 1..r_max) uses the box of radius M^r.  Raises ResonantBox
+    One Q-step and F(q) at its omega come first; stage r (r = 1..r_max)
+    then takes one P-step on the box of radius M^r, one Q-step and one
+    residual, which the next stage's P-step reuses.  Raises ResonantBox
     (propagated from p_step) and NonConvergence when the residual ratio
     stays >= 0.9 across three consecutive stages.
     """
-    if params.eps + params.delta > config.coupling_limit:
+    if params.eps + params.delta > COUPLING_LIMIT:
         raise PreconditionFailed(
-            f"eps+delta = {params.eps + params.delta} exceeds the configured "
-            f"coupling limit {config.coupling_limit}")
+            f"eps+delta = {params.eps + params.delta} exceeds the coupling "
+            f"limit {COUPLING_LIMIT}")
     if params.eps > params.delta and params.delta > 0.0:
         warnings.warn("eps > delta: outside the regime the construction targets",
                       stacklevel=2)
@@ -345,14 +342,16 @@ def solve(params: ModelParams, config: SolverConfig = SolverConfig(),
     converged = rep.l2_norm <= config.residual_floor
     slow_stages = 0
     if not converged:
+        omega = q_step(q, params)
+        f = residual(q, omega, params).field
         for stage in range(1, config.r_max + 1):
             t0 = time.perf_counter()
-            omega = q_step(q, omega, params, config.q_update_damping)
-            step = p_step(q, omega, params, stage, config)
+            step = p_step(q, omega, f, params, stage, config)
             q = q.add(step.increment)
-            omega = q_step(q, omega, params, config.q_update_damping)
+            omega = q_step(q, params)
             prev_norm = rep.l2_norm
             rep = residual(q, omega, params)
+            f = rep.field
             try:
                 rate = decay_fit(q, params.resonant_set()).rate
             except InsufficientData:
@@ -384,8 +383,7 @@ def solve(params: ModelParams, config: SolverConfig = SolverConfig(),
 # dense validation oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
-                       max_iterations: int = 50) -> OracleResult:
+def brute_force_oracle(params: ModelParams, box: int) -> OracleResult:
     """Plain dense Newton on the full truncated system (no staging).
 
     Unknowns are q at the canonical sites of the cube of radius ``box``
@@ -471,10 +469,10 @@ def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
     x[n_unknowns:] = omega0(params)
     history = []
     fv = f_vector(x)
-    for iteration in range(max_iterations):
+    for iteration in range(ORACLE_MAX_ITERATIONS):
         rnorm = float(np.linalg.norm(fv))
         history.append(rnorm)
-        if rnorm < tolerance:
+        if rnorm < ORACLE_TOLERANCE:
             qf = field_of(x)
             return OracleResult(q=qf, omega=tuple(float(w) for w in x[n_unknowns:]),
                                 residual_history=tuple(history),
@@ -498,7 +496,7 @@ def brute_force_oracle(params: ModelParams, box: int, tolerance: float = 1e-13,
                 f"(residual {rnorm:.3e})")
         x = trial
     raise OracleDiverged(
-        f"no convergence in {max_iterations} iterations "
+        f"no convergence in {ORACLE_MAX_ITERATIONS} iterations "
         f"(residual {history[-1]:.3e})")
 
 

@@ -162,16 +162,15 @@ def _enumerate_nonzero(limit: int, dim: int):
     return vecs[keep]
 
 
-def _dc_vectors(alpha: Sequence[float], L: int, c_star: float,
-                d: Optional[int]) -> tuple:
-    """(alpha as an array, d, every 0 < |n| <= 2L) once L and c_star check."""
+def _dc_vectors(alpha: Sequence[float], L: int, c_star: float) -> tuple:
+    """(alpha as an array, d = len(alpha), every 0 < |n| <= 2L) once L and
+    c_star check."""
     if L < 1:
         raise ValueError("L must be >= 1")
     if not 0.0 < c_star < 1.0:
         raise ValueError("c_star must lie in (0,1)")
     alpha = np.asarray(alpha, dtype=float)
-    dd = len(alpha) if d is None else d
-    return alpha, dd, _enumerate_nonzero(2 * L, dd)
+    return alpha, len(alpha), _enumerate_nonzero(2 * L, len(alpha))
 
 
 def _dc_certificate(kind: str, inputs: dict, vecs: np.ndarray,
@@ -185,13 +184,13 @@ def _dc_certificate(kind: str, inputs: dict, vecs: np.ndarray,
 
 
 def check_alpha_dc(alpha: Sequence[float], L: int, c_star: float,
-                   mode: str = "fixed", d: Optional[int] = None) -> Certificate:
+                   mode: str = "fixed") -> Certificate:
     """Diophantine certificate for alpha over all 0 < |n| <= 2L.
 
     ``mode="fixed"`` checks ||(n/2).alpha||_T >= c_star.  ``mode="power"``
     checks min over the full and half multiples of ||.||_T >= c_star/|n|^(2d).
     """
-    alpha, dd, vecs = _dc_vectors(alpha, L, c_star, d)
+    alpha, dd, vecs = _dc_vectors(alpha, L, c_star)
     dots = vecs @ (TWO_PI * alpha)
     if mode == "fixed":
         attained = torus_distance(0.5 * dots)
@@ -208,13 +207,13 @@ def check_alpha_dc(alpha: Sequence[float], L: int, c_star: float,
 
 
 def check_theta_dc(theta0: float, alpha: Sequence[float], L: int, c_star: float,
-                   mode: str = "fixed", d: Optional[int] = None) -> Certificate:
+                   mode: str = "fixed") -> Certificate:
     """Diophantine certificate for theta0 over all |n| <= 2L (n = 0 included).
 
     ``mode="power"`` uses the scale-coupled threshold L^(-3d) instead of
     c_star.
     """
-    alpha, dd, vecs = _dc_vectors(alpha, L, c_star, d)
+    alpha, dd, vecs = _dc_vectors(alpha, L, c_star)
     vecs = np.vstack([np.zeros((1, dd), dtype=int), vecs])
     attained = torus_distance(TWO_PI * theta0 + 0.5 * (vecs @ (TWO_PI * alpha)))
     return _dc_certificate(
@@ -506,14 +505,13 @@ class SublevelResult:
 
 def sublevel_measure(f_spec: Union[FrequencyCombination, Callable], eta: float,
                      r: int, tau: float, derivative_bound: float,
-                     grid_points: Optional[int] = None,
-                     interval: tuple = M_INTERVAL) -> SublevelResult:
+                     grid_points: Optional[int] = None) -> SublevelResult:
     """Analytic sublevel bound and a grid-sampled estimate of meas{|f|<=eta}.
 
     The analytic bound is C(r) * A * |I| * eta^(1/r) / tau^2 with
     C(r) = r(r+3) * (2A|I|/tau + 1) / (A|I|), i.e. the subdivision count
     folded into the constant.  The empirical estimate counts midpoints of a
-    uniform grid; its spacing must satisfy spacing <= eta/A.
+    uniform grid over M_INTERVAL; its spacing must satisfy spacing <= eta/A.
     """
     if not 0.0 < tau < 1.0:
         raise InsufficientResolution(f"tau must lie in (0,1), got {tau}")
@@ -521,7 +519,7 @@ def sublevel_measure(f_spec: Union[FrequencyCombination, Callable], eta: float,
         raise ValueError(f"eta must lie in (0,1), got {eta}")
     if derivative_bound <= 0.0:
         raise ValueError("derivative bound must be positive")
-    a, b = interval
+    a, b = M_INTERVAL
     length = b - a
     A = derivative_bound
     if grid_points is None:

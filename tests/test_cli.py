@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -32,6 +33,17 @@ class TestConfig:
         assert parsed["x"] == 0.1
         assert parsed["y"] == 1.0 / 3.0
 
+    def test_non_finite_floats_are_strict_json_null(self):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        values = [math.inf, -math.inf, math.nan]
+        text = cli.dumps({"list": values, "inf": math.inf,
+                          "-inf": -math.inf, "nan": math.nan})
+        parsed = json.loads(text, parse_constant=refuse)
+        assert parsed == {"list": [None] * 3, "inf": None, "-inf": None,
+                          "nan": None}
+
     def test_presets_validate(self):
         for name in ("trivial", "small-coupling", "scan-demo"):
             cfg = cli.preset_config(name)
@@ -41,11 +53,14 @@ class TestConfig:
 
     def test_config_with_legacy_seed_loads(self, workdir):
         # fields earlier versions wrote: a top-level seed, the solver's
-        # dense/sparse switch, the Diophantine scale exponent and the
-        # theta-scan exponent
+        # dense/sparse switch, Q-step damping, condition gate and coupling
+        # limit, the Diophantine scale exponent and the theta-scan exponent
         default = cli.default_config()
         for block, field, value in ((None, "seed", 20240601),
                                     ("solver", "dense_size_limit", 5000),
+                                    ("solver", "q_update_damping", 1e-9),
+                                    ("solver", "max_condition", 0.5),
+                                    ("solver", "coupling_limit", 0.0),
                                     ("model", "k_exponent", 5.0),
                                     ("scan", "rho4", 0.05)):
             cfg = cli.default_config()
@@ -61,10 +76,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("M", 1), ("r_max", 0), ("r_max", -3), ("residual_floor", 0.0),
-        ("residual_floor", -1.0), ("q_update_damping", 0.0),
-        ("q_update_damping", 1.5), ("max_condition", -1.0),
-        ("max_condition", 0.5),
-        ("coupling_limit", 0.0), ("M", 3.7), ("M", "3"), ("r_max", True),
+        ("residual_floor", -1.0), ("M", 3.7), ("M", "3"), ("r_max", True),
     ])
     def test_out_of_range_solver_block_is_bad_config(self, workdir, field,
                                                      value):
@@ -108,6 +120,18 @@ class TestConfig:
         monkeypatch.chdir(workdir)   # no --out: "output" names the directory
         assert run(["certify", "--config", path]) == cli.EXIT_BAD_CONFIG
         assert not (workdir / "qpwave-out").exists()
+
+    @pytest.mark.parametrize("out_dir", [5, None, ["a"]],
+                             ids=["int", "null", "list"])
+    def test_non_string_out_dir_is_bad_config(self, workdir, monkeypatch,
+                                              out_dir):
+        cfg = cli.default_config()
+        cfg["output"]["out_dir"] = out_dir
+        path = workdir / "out-dir.txt"
+        cli.write_file(path, cfg)
+        monkeypatch.chdir(workdir)
+        assert run(["certify", "--config", path]) == cli.EXIT_BAD_CONFIG
+        assert not list(workdir.rglob("certificates.txt"))
 
     @pytest.mark.parametrize("version", [1.5, True, "1", 2])
     def test_bad_format_version_is_bad_config(self, workdir, version):
@@ -235,8 +259,7 @@ class TestSolve:
 
     def test_non_convergence_exit_code(self, workdir):
         cfg = cli.default_config()
-        cfg["solver"].update(q_update_damping=1e-9, residual_floor=1e-30,
-                             M=2, r_max=8)
+        cfg["solver"].update(residual_floor=1e-30, M=2, r_max=8)
         path = workdir / "stall.txt"
         cli.write_file(path, cfg)
         code = run(["solve", "--config", path, "--out", workdir, "--force"])
@@ -341,6 +364,18 @@ class TestLdeScan:
         cli.write_file(path, cfg)
         assert run(["lde-scan", "--config", path, "--out", workdir]) == \
             cli.EXIT_BAD_CONFIG
+        assert not (workdir / "lde_scan.txt").exists()
+
+    def test_region_too_large_is_bad_config(self, workdir, capsys):
+        # M = 10000: a region's bounding box holds about 10^8 candidate
+        # sites, above lattice.MATERIALIZE_LIMIT, refused before any is built
+        cfg = cli.preset_config("scan-demo")
+        cfg["scan"]["M"] = 10000
+        path = workdir / "scan.txt"
+        cli.write_file(path, cfg)
+        assert run(["lde-scan", "--config", path, "--out", workdir]) == \
+            cli.EXIT_BAD_CONFIG
+        assert "materialization limit" in capsys.readouterr().err
         assert not (workdir / "lde_scan.txt").exists()
 
 

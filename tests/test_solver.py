@@ -10,7 +10,7 @@ from qpwave import (CoefficientField, FrequencyCollapse, InsufficientData,
                     ModelParams, NonConvergence, PreconditionFailed,
                     ResonantBox, SolverConfig, brute_force_oracle,
                     compare_with_oracle, decay_fit, evaluate_solution,
-                    initial_field, omega0, p_step, q_step, solve,
+                    initial_field, omega0, p_step, q_step, residual, solve,
                     weighted_tail_norm)
 
 from conftest import golden_params
@@ -44,7 +44,7 @@ class TestInitialField:
 class TestQStep:
     def test_uncoupled_fixed_point(self, params_uncoupled):
         q0 = initial_field(params_uncoupled)
-        om = q_step(q0, omega0(params_uncoupled), params_uncoupled)
+        om = q_step(q0, params_uncoupled)
         assert om == pytest.approx(omega0(params_uncoupled), abs=1e-15)
 
     def test_first_step_closed_form(self):
@@ -54,31 +54,20 @@ class TestQStep:
                         alpha=(0.0,), theta0=0.25, anchors=((0,),),
                         amplitudes=(1.0,))
         q0 = initial_field(p)
-        om = q_step(q0, omega0(p), p)
+        om = q_step(q0, p)
         assert om[0] ** 2 == pytest.approx(3.0075, abs=1e-14)
 
     def test_anchor_values_required(self, params):
         bad = CoefficientField.from_entries({((1,), (0,)): 0.4}, 1, 1)
         with pytest.raises(PreconditionFailed):
-            q_step(bad, omega0(params), params)
+            q_step(bad, params)
 
     def test_frequency_collapse(self):
         p = golden_params(eps=0.9, delta=0.0)
         entries = {((1,), (0,)): 0.5, ((1,), (1,)): -1000.0}
         q = CoefficientField.from_entries(entries, 1, 1)
         with pytest.raises(FrequencyCollapse):
-            q_step(q, omega0(p), p)
-
-    def test_damped_step_is_one_closed_form_update(self, params):
-        # the target does not depend on omega, so damping d applies the
-        # fraction d of the omega^2 update once
-        q0 = initial_field(params)
-        current = omega0(params) * 1.01
-        target = q_step(q0, current, params)
-        om = q_step(q0, current, params, damping=0.5)
-        expected = np.sqrt(0.5 * current ** 2 + 0.5 * target ** 2)
-        assert np.array_equal(om, expected)
-        assert abs(om[0] - target[0]) > 1e-4
+            q_step(q, p)
 
     def test_frequency_amplitude_jacobian_scales_like_delta(self):
         # det(d omega / d a) ~ delta for b = 1, via finite differences of the
@@ -91,7 +80,7 @@ class TestQStep:
                 pa = ModelParams(b=1, d=1, p=2, m=p.m, eps=0.0, delta=delta,
                                  alpha=p.alpha, theta0=p.theta0,
                                  anchors=p.anchors, amplitudes=(a,))
-                return q_step(initial_field(pa), omega0(pa), pa)[0]
+                return q_step(initial_field(pa), pa)[0]
 
             deriv = (omega_of(1.5 + h) - omega_of(1.5 - h)) / (2 * h)
             assert 0.05 * delta <= abs(deriv) <= 20.0 * delta
@@ -100,29 +89,33 @@ class TestQStep:
 class TestPStep:
     def test_zero_residual_gives_zero_increment(self, params_uncoupled):
         q0 = initial_field(params_uncoupled)
-        res = p_step(q0, omega0(params_uncoupled), params_uncoupled, 1,
-                     SolverConfig(M=3))
+        om = omega0(params_uncoupled)
+        res = p_step(q0, om, residual(q0, om, params_uncoupled).field,
+                     params_uncoupled, 1, SolverConfig(M=3))
         assert res.increment.num_lattice_entries == 0
 
     def test_increment_vanishes_on_resonant_set(self, params):
         q0 = initial_field(params)
-        om = q_step(q0, omega0(params), params)
-        res = p_step(q0, om, params, 1, SolverConfig(M=3))
+        om = q_step(q0, params)
+        res = p_step(q0, om, residual(q0, om, params).field, params, 1,
+                     SolverConfig(M=3))
         assert res.increment.get((1,), (0,)) == 0.0
         assert res.increment.get((-1,), (0,)) == 0.0
         assert res.increment.num_lattice_entries > 0
 
     def test_first_increment_order_of_couplings(self, params):
         q0 = initial_field(params)
-        om = q_step(q0, omega0(params), params)
-        res = p_step(q0, om, params, 1, SolverConfig(M=3))
+        om = q_step(q0, params)
+        res = p_step(q0, om, residual(q0, om, params).field, params, 1,
+                     SolverConfig(M=3))
         total = params.eps + params.delta
         assert res.increment.l2_norm() <= 50.0 * total
 
     def test_increment_symmetric(self, params):
         q0 = initial_field(params)
-        om = q_step(q0, omega0(params), params)
-        res = p_step(q0, om, params, 2, SolverConfig(M=3))
+        om = q_step(q0, params)
+        res = p_step(q0, om, residual(q0, om, params).field, params, 2,
+                     SolverConfig(M=3))
         for k, n, v in res.increment.canonical_items():
             assert res.increment.get(tuple(-x for x in k), n) == v
 
@@ -132,9 +125,9 @@ class TestPStep:
         p = ModelParams(b=1, d=1, p=2, m=2.5, eps=0.0, delta=0.0,
                         alpha=(0.25,), theta0=0.25, anchors=((0,),),
                         amplitudes=(1.0,))
-        q0 = initial_field(p)
+        q0, om = initial_field(p), omega0(p)
         with pytest.raises(ResonantBox) as err:
-            p_step(q0, omega0(p), p, 1, SolverConfig(M=3))
+            p_step(q0, om, residual(q0, om, p).field, p, 1, SolverConfig(M=3))
         assert err.value.stage == 1
         assert err.value.condition == math.inf
         assert err.value.site is None
@@ -146,9 +139,9 @@ class TestPStep:
         p = ModelParams(b=1, d=1, p=2, m=2.5, eps=coupling, delta=coupling,
                         alpha=(0.25 + 1e-15,), theta0=0.25, anchors=((0,),),
                         amplitudes=(1.0,))
-        q0 = initial_field(p)
+        q0, om = initial_field(p), omega0(p)
         with pytest.raises(ResonantBox) as err:
-            p_step(q0, omega0(p), p, 1, SolverConfig(M=3))
+            p_step(q0, om, residual(q0, om, p).field, p, 1, SolverConfig(M=3))
         assert 1e14 < err.value.condition < math.inf
         assert err.value.site is not None
         assert tuple(map(abs, err.value.site.k)) == (1,)
@@ -168,12 +161,13 @@ class TestPStep:
                           amplitudes=tuple(amplitudes[:b])), theta0=theta0)
         config = SolverConfig(M=3)
         q = initial_field(p)
-        om = q_step(q, omega0(p), p)
+        om = q_step(q, p)
         try:
             if stage == 2:
-                q = q.add(p_step(q, om, p, 1, config).increment)
-                om = q_step(q, om, p)
-            res = p_step(q, om, p, stage, config)
+                step = p_step(q, om, residual(q, om, p).field, p, 1, config)
+                q = q.add(step.increment)
+                om = q_step(q, p)
+            res = p_step(q, om, residual(q, om, p).field, p, stage, config)
         except ResonantBox:
             assume(False)
         ref = reference_increment(q, om, p, stage, config)
@@ -186,9 +180,9 @@ class TestPStep:
 
     def test_box_must_contain_resonant_set(self):
         p = golden_params(anchors=((30,),))
-        q0 = initial_field(p)
+        q0, om = initial_field(p), omega0(p)
         with pytest.raises(ResonantBox):
-            p_step(q0, omega0(p), p, 1, SolverConfig(M=3))
+            p_step(q0, om, residual(q0, om, p).field, p, 1, SolverConfig(M=3))
 
 
 class TestSolve:
@@ -212,7 +206,7 @@ class TestSolve:
 
     def test_q_step_fixed_point_after_convergence(self, params):
         sol = solve(params, SolverConfig(M=3, r_max=6))
-        om_again = q_step(sol.q, np.array(sol.omega), params)
+        om_again = q_step(sol.q, params)
         assert np.abs(om_again - np.array(sol.omega)).max() <= 1e-13
 
     def test_coupling_limit_enforced(self):
@@ -246,9 +240,27 @@ class TestSolve:
         assert len(sol.trace) == 3
         assert sorted(computed) == [2, 2, 2, 3, 3, 3]
 
+    def test_one_q_step_and_one_residual_per_stage(self, params, monkeypatch):
+        # one Q-step and F(q) at its omega before stage 1, then each stage
+        # adds one Q-step and one residual; F(q0) at omega0 is stage 0's
+        from qpwave import solver
+        calls = {"q_step": 0, "residual": 0}
+        for name in calls:
+            real = getattr(solver, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counting)
+        sol = solve(params, SolverConfig(M=3, r_max=2))
+        assert len(sol.trace) == 3
+        assert calls == {"q_step": 3, "residual": 4}
+
     def test_stagnation_raises_non_convergence(self, params):
-        config = SolverConfig(M=2, r_max=8, residual_floor=1e-30,
-                              q_update_damping=1e-9)
+        # at residual_floor 1e-30 the residual settles at the round-off
+        # floor, so the ratio test must end the solve
+        config = SolverConfig(M=2, r_max=8, residual_floor=1e-30)
         with pytest.raises(NonConvergence) as err:
             solve(params, config)
         assert err.value.trace is not None
