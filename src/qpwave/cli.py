@@ -335,7 +335,7 @@ def run_certify(cfg: dict, out_dir: Path) -> int:
         certs["admissible_m"]["theoretical_bound_feasible"] = scan.theoretical_bound_feasible
         certs["admissible_m"]["condition_fail_fractions"] = \
             scan.condition_fail_fractions
-        gates["admissible_m"] = bool(len(scan.certified_m) > 0)
+        gates["admissible_m"] = scan.certificate.passed
 
         om = spectrum.omega0(params)
         reach = L * float(np.abs(om).sum()) + math.sqrt(params.m + 1.0) + 1.0
@@ -351,7 +351,7 @@ def run_certify(cfg: dict, out_dir: Path) -> int:
             notes=f"max cluster count {worst} (bound b = {params.b})",
         )
         certs["cluster"] = certificate_dict(cluster_cert)
-        gates["cluster"] = bool(worst <= params.b)
+        gates["cluster"] = cluster_cert.passed
     else:
         gates["separation"] = False
 

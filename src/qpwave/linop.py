@@ -27,17 +27,21 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ComplementSingular, Singular, cast_number, check_ranges
+from .errors import (ComplementSingular, RegionTooLarge, Singular, cast_number,
+                     check_ranges)
 from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, box_vectors,
                       index_map, neighbor_offsets)
 from .nonlin import CoefficientField
 from .spectrum import ModelParams, mu
 
-SINGULARITY_RTOL = 1e-14
+MAX_CONDITION = 1e14  # above this condition estimate a P-step box is resonant
+SINGULARITY_RTOL = 1.0 / MAX_CONDITION
 DECAY_FIT_FLOOR = 1e-30
 MAX_FAMILY_REGIONS = 64
 # bytes of one stack of coupled-block matrices in the LDE scan
 BATCH_BYTES = 1 << 20
+# bytes of one n x n float array of an LDE scan region (n <= 1448 sites)
+REGION_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -570,6 +574,11 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     family = elementary_region_family(M, params.b, params.d, resonant,
                                       max_regions)
     subsampled = len(family) >= max_regions
+    largest = max(len(region.vectors()) for region in family)
+    if 8 * largest**2 > REGION_BYTES:
+        raise RegionTooLarge(
+            f"an LDE scan region of {largest} sites needs {8 * largest**2} "
+            f"bytes per n x n array, above REGION_BYTES = {REGION_BYTES}")
     if sigma_grid is None:
         lo, hi = default_sigma_window(M, params, omega)
         sigma_grid = np.linspace(lo, hi, num_sigma)
@@ -616,19 +625,18 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     )
 
 
-def diagonal_bad_intervals(M: int, params: ModelParams, omega: Sequence[float],
-                           thresholds: Thresholds = Thresholds(),
-                           max_regions: int = MAX_FAMILY_REGIONS) -> list:
+def diagonal_bad_intervals(M: int, params: ModelParams,
+                           omega: Sequence[float]) -> list:
     """Explicit resonance intervals for the uncoupled (eps=delta=0) operator.
 
-    With no off-diagonal part, sigma is bad iff some family site satisfies
-    |mu_n^2 - (sigma + k.omega)^2| <= exp(-M^rho2), i.e. |sigma + k.omega|
-    lies in [sqrt(mu^2 - t), sqrt(mu^2 + t)].  Returns merged intervals.
+    With no off-diagonal part, sigma is bad iff some site of the default
+    family satisfies |mu_n^2 - (sigma + k.omega)^2| <= exp(-M^rho2) (the
+    default rho2), i.e. |sigma + k.omega| lies in [sqrt(mu^2 - t),
+    sqrt(mu^2 + t)].  Returns merged intervals.
     """
-    resonant = params.resonant_set()
-    family = elementary_region_family(M, params.b, params.d, resonant,
-                                      max_regions)
-    t = math.exp(-float(M) ** thresholds.rho2)
+    family = elementary_region_family(M, params.b, params.d,
+                                      params.resonant_set())
+    t = math.exp(-float(M) ** Thresholds().rho2)
     vecs = _family_vectors(family)
     omega = np.asarray(omega, dtype=float)
     kw = _per_distinct(vecs[:, :params.b], lambda k: float(np.dot(k, omega)))
@@ -777,14 +785,13 @@ def qp_schrodinger_matrix(space_sites: Sequence, energy: float, theta: float,
 
 def qp_schrodinger_green(space_sites: Sequence, energy: float,
                          theta: float, params: ModelParams,
-                         thresholds: Thresholds = Thresholds(),
                          scale: Optional[float] = None) -> GreenReport:
     """Green diagnostics for the auxiliary space-direction block operator.
 
     The norm bound is exp(sqrt(N)) and the required off-diagonal rate is
     |log eps| / 2 at distances >= N^rho3 (N the scale, by default the sites'
-    diameter).  Raises Singular for near-singular instances; the verdict is
-    per (E, theta).
+    diameter; rho3 the default of ``Thresholds``).  Raises Singular for
+    near-singular instances; the verdict is per (E, theta).
     """
     rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
     n_scale = float((rows.max(axis=0) - rows.min(axis=0)).max()) \
@@ -794,12 +801,11 @@ def qp_schrodinger_green(space_sites: Sequence, energy: float,
     # the (identically zero) off-diagonal satisfies it.
     rate = 0.5 * abs(math.log(params.eps)) if params.eps > 0.0 else math.inf
     return _green_report(matrix, rows, n_scale, math.exp(math.sqrt(n_scale)),
-                         rate, n_scale ** thresholds.rho3)
+                         rate, n_scale ** Thresholds().rho3)
 
 
 def qp_schrodinger_theta_scan(N: int, energy: float, params: ModelParams,
-                              theta_grid, thresholds: Thresholds = Thresholds(),
-                              rho4: float = 0.05) -> dict:
+                              theta_grid, rho4: float = 0.05) -> dict:
     """Fraction of theta grid points violating the auxiliary bounds.
 
     rho4 is a free report parameter: the comparison value is exp(-N^rho4).
@@ -810,7 +816,7 @@ def qp_schrodinger_theta_scan(N: int, energy: float, params: ModelParams,
     for theta in theta_grid:
         try:
             rep = qp_schrodinger_green(sites, energy, float(theta), params,
-                                       thresholds, scale=float(N))
+                                       scale=float(N))
             if not (rep.norm_ok and rep.decay_ok):
                 bad += 1
         except Singular:

@@ -35,14 +35,13 @@ from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
                      ResonantBox, check_ranges)
 from .lattice import (ResonantSet, Site, canonical_k, cube, index_map,
                       neighbor_offsets, sites_of, unit_k)
-from .linop import OperatorSpec, assemble_sparse
+from .linop import MAX_CONDITION, OperatorSpec, assemble_sparse
 from .linop import assemble  # noqa: F401  perfbench/spans.py wraps solver.assemble
 from .nonlin import (CoefficientField, ResidualReport, convolve_power,
                      linearize, pde_residual, residual, weighted_tail_norm)
 from .spectrum import Certificate, ModelParams, mu, omega0
 
 MAX_BOX_SITES = 3_000_000  # admits the full default ladder M=3, r<=6
-MAX_CONDITION = 1e14       # P-step gate: a larger condition estimate is resonant
 COUPLING_LIMIT = 0.1       # largest eps+delta the stage scheme accepts
 DECAY_FIT_MIN_POINTS = 10  # off-resonant points a decay fit needs
 DECAY_FIT_FLOOR = 1e-30    # smaller |q| are left out of a decay fit

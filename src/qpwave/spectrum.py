@@ -118,9 +118,9 @@ def mu(n: Sequence[int], params: ModelParams, m: Optional[float] = None) -> floa
     return math.sqrt(val)
 
 
-def omega0(params: ModelParams, m: Optional[float] = None) -> np.ndarray:
+def omega0(params: ModelParams) -> np.ndarray:
     """Unperturbed frequency vector (mu at each anchor)."""
-    return np.array([mu(n, params, m) for n in params.anchors])
+    return np.array([mu(n, params) for n in params.anchors])
 
 
 def _mu_array(space_sites: np.ndarray, params: ModelParams,
@@ -234,12 +234,29 @@ def _require_diophantine(params: ModelParams, L: int, c_star: float) -> None:
                                  f"(L={L}, c_star={c_star:.3e}): {failed}")
 
 
+def _smallest_gap(values: np.ndarray):
+    """Smallest |v_i - v_j| over i != j down axis 0, from neighbours in
+    sorted order (rounding is monotone, so no other pair is closer): per
+    column for 2-D ``values``; for 1-D, (gap, (i, j)) with (i, j) the first
+    pair attaining it in row-major order (smallest i, then smallest j)."""
+    if values.ndim > 1:
+        return np.diff(np.sort(values, axis=0), axis=0).min(axis=0)
+    order = np.argsort(values, kind="stable")
+    gaps = np.diff(values[order])
+    gap = gaps.min()
+    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    i = int(order[nearest == gap].min())
+    others = np.arange(len(values)) != i
+    j = int(np.flatnonzero(others & (np.abs(values[i] - values) == gap))[0])
+    return gap, (i, j)
+
+
 def separation_certificate(params: ModelParams, L: int, c_star: float) -> Certificate:
     """Pair-separation certificate for the mu_n over |(n,n')| <= L.
 
     Requires the alpha/theta Diophantine certificates to pass at (L, c_star),
     then verifies |mu_n - mu_n'| >= (2/pi^2) c_star^2 and
-    |mu_n^2 - mu_n'^2| >= (8/pi^2) c_star^2 by exhaustive evaluation.
+    |mu_n^2 - mu_n'^2| >= (8/pi^2) c_star^2 by sorted gaps.
     """
     _require_diophantine(params, L, c_star)
     sites = _enumerate_nonzero(L, params.d)
@@ -248,27 +265,18 @@ def separation_certificate(params: ModelParams, L: int, c_star: float) -> Certif
 
     thr1 = (2.0 / math.pi**2) * c_star**2
     thr2 = (8.0 / math.pi**2) * c_star**2
-    diff = np.abs(mus[:, None] - mus[None, :])
-    diff2 = np.abs(mus[:, None]**2 - mus[None, :]**2)
-    np.fill_diagonal(diff, np.inf)
-    np.fill_diagonal(diff2, np.inf)
-    i1 = np.unravel_index(np.argmin(diff), diff.shape)
-    i2 = np.unravel_index(np.argmin(diff2), diff2.shape)
-    margin1 = float(diff[i1] - thr1)
-    margin2 = float(diff2[i2] - thr2)
-    witnesses = (
-        ((tuple(int(x) for x in sites[i1[0]]), tuple(int(x) for x in sites[i1[1]])),
-         float(diff[i1])),
-        ((tuple(int(x) for x in sites[i2[0]]), tuple(int(x) for x in sites[i2[1]])),
-         float(diff2[i2])),
-    )
+    gap1, pair1 = _smallest_gap(mus)
+    gap2, pair2 = _smallest_gap(mus**2)
+    witnesses = tuple(
+        (tuple(tuple(int(x) for x in sites[i]) for i in pair), float(gap))
+        for gap, pair in ((gap1, pair1), (gap2, pair2)))
     return Certificate(
         kind="separation",
         inputs={"L": L, "c_star": c_star, "m": params.m},
-        margin=min(margin1, margin2),
+        margin=min(float(gap1 - thr1), float(gap2 - thr2)),
         witnesses=witnesses,
-        notes=f"min|mu-mu'|={diff[i1]:.6e} (threshold {thr1:.3e}); "
-              f"min|mu^2-mu'^2|={diff2[i2]:.6e} (threshold {thr2:.3e})",
+        notes=f"min|mu-mu'|={gap1:.6e} (threshold {thr1:.3e}); "
+              f"min|mu^2-mu'^2|={gap2:.6e} (threshold {thr2:.3e})",
     )
 
 
@@ -280,16 +288,12 @@ def derivative_prefactor(l: int) -> float:
     """lambda_l = (1/2)(1/2 - 1)...(1/2 - l + 1); lambda_1 = 1/2."""
     if l < 1:
         raise ValueError("derivative order must be >= 1")
-    out = 1.0
-    for j in range(l):
-        out *= 0.5 - j
-    return out
+    return math.prod(0.5 - j for j in range(l))
 
 
-def d_mu_dm(n: Sequence[int], l: int, params: ModelParams,
-            m: Optional[float] = None) -> float:
+def d_mu_dm(n: Sequence[int], l: int, params: ModelParams) -> float:
     """Closed-form l-th m-derivative of mu_n: lambda_l * mu_n^{-(2l-1)}."""
-    v = mu(n, params, m)
+    v = mu(n, params)
     return derivative_prefactor(l) * v ** (-(2 * l - 1))
 
 
@@ -349,11 +353,10 @@ _KINDS = ("harmonic", "shifted", "difference")
 def _reduce_combination(kind: str, k: Sequence[int], params: ModelParams,
                         n: Optional[Sequence[int]] = None,
                         n_prime: Optional[Sequence[int]] = None):
-    """Reduce a frequency combination to (ktilde, site list, r, exponent).
+    """Reduce a frequency combination to (ktilde, site list, r).
 
     The combination value is ktilde . v(m) where v(m) stacks mu at the
-    returned space sites; r is the number of derivative orders to take and
-    ``exponent`` the reference power of c_star for the reported constant.
+    returned space sites; r is the number of derivative orders to take.
     Raises NotApplicable for the excluded index configurations.
     """
     b = params.b
@@ -365,7 +368,7 @@ def _reduce_combination(kind: str, k: Sequence[int], params: ModelParams,
     if kind == "harmonic":
         if all(x == 0 for x in k):
             raise NotApplicable("harmonic combination requires k != 0")
-        return k, list(params.anchors), b, b * (b - 1)
+        return k, list(params.anchors), b
 
     if kind == "shifted":
         if n is None:
@@ -377,8 +380,8 @@ def _reduce_combination(kind: str, k: Sequence[int], params: ModelParams,
             if k == e or k == tuple(-x for x in e):
                 raise NotApplicable(f"(k, n) = ({k}, {n}) lies in the resonant set")
             ktilde = tuple(ki + ei for ki, ei in zip(k, e))
-            return ktilde, list(params.anchors), b, b * (b - 1)
-        return k + (1,), list(params.anchors) + [n], b + 1, b * (b + 1)
+            return ktilde, list(params.anchors), b
+        return k + (1,), list(params.anchors) + [n], b + 1
 
     if kind == "difference":
         if n is None or n_prime is None:
@@ -394,16 +397,16 @@ def _reduce_combination(kind: str, k: Sequence[int], params: ModelParams,
             if all(x == 0 for x in ktilde):
                 raise NotApplicable(
                     f"k = -e_{l} + e_{lp} is the excluded anchor difference")
-            return ktilde, list(params.anchors), b, b * (b - 1)
+            return ktilde, list(params.anchors), b
         if l is not None:  # n anchored, n' free
             e = unit_k(l, b)
             ktilde = tuple(ki + ei for ki, ei in zip(k, e)) + (-1,)
-            return ktilde, list(params.anchors) + [n_prime], b + 1, (b + 1) * (b + 2)
+            return ktilde, list(params.anchors) + [n_prime], b + 1
         if lp is not None:  # n free, n' anchored
             ep = unit_k(lp, b)
             ktilde = tuple(ki - epi for ki, epi in zip(k, ep)) + (1,)
-            return ktilde, list(params.anchors) + [n], b + 1, (b + 1) * (b + 2)
-        return k + (1, -1), list(params.anchors) + [n, n_prime], b + 2, (b + 1) * (b + 2)
+            return ktilde, list(params.anchors) + [n], b + 1
+        return k + (1, -1), list(params.anchors) + [n, n_prime], b + 2
 
     raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
 
@@ -416,14 +419,13 @@ class FrequencyCombination:
     ktilde: tuple
     space_sites: tuple
     r: int
-    exponent: int
     params: ModelParams
 
     @classmethod
     def build(cls, kind: str, k: Sequence[int], params: ModelParams,
               n=None, n_prime=None) -> "FrequencyCombination":
-        ktilde, sites, r, expo = _reduce_combination(kind, k, params, n, n_prime)
-        return cls(kind, tuple(ktilde), tuple(tuple(s) for s in sites), r, expo, params)
+        ktilde, sites, r = _reduce_combination(kind, k, params, n, n_prime)
+        return cls(kind, tuple(ktilde), tuple(tuple(s) for s in sites), r, params)
 
     def _mu_values(self, m_values: np.ndarray) -> np.ndarray:
         sites = np.array(self.space_sites, dtype=float)
@@ -445,21 +447,15 @@ class FrequencyCombination:
         lam_max = max(abs(derivative_prefactor(l)) for l in range(1, orders + 1))
         return lam_max * float(np.abs(self.ktilde).sum())
 
-    @property
-    def ktilde_norm2(self) -> float:
-        return float(np.linalg.norm(self.ktilde))
-
 
 def transversality_margin(kind: str, k: Sequence[int], params: ModelParams,
-                          m_grid, n=None, n_prime=None,
-                          tc_ref: float = 0.0, c_star: float = 1.0) -> Certificate:
+                          m_grid, n=None, n_prime=None) -> Certificate:
     """Attained transversality of a frequency combination over an m grid.
 
     Evaluates sup over derivative orders 1..r of |d^l f/dm^l| at each grid m
-    (closed forms) and reports margin = min over the grid of that sup, minus
-    the reference lower bound tc_ref * c_star^exponent * |ktilde|_2.  The
-    implied empirical prefactor is recorded in the witnesses; by default
-    (tc_ref = 0) the margin is the attained minimum itself.
+    (closed forms) and reports margin = min over the grid of that sup.  The
+    implied empirical prefactor, that minimum over |ktilde|_2, is recorded
+    in the notes.
     """
     combo = FrequencyCombination.build(kind, k, params, n, n_prime)
     m_grid = np.atleast_1d(np.asarray(m_grid, dtype=float))
@@ -467,21 +463,18 @@ def transversality_margin(kind: str, k: Sequence[int], params: ModelParams,
     for l in range(1, combo.r + 1):
         sup = np.maximum(sup, np.abs(combo.derivative(l, m_grid)))
     imin = int(np.argmin(sup))
-    reference = tc_ref * (c_star ** combo.exponent) * combo.ktilde_norm2
     attained = float(sup[imin])
-    implied = attained / (c_star ** combo.exponent * combo.ktilde_norm2)
     witnesses = ((combo.ktilde, attained), (("m",), float(m_grid[imin])))
     return Certificate(
         kind="transversality",
         inputs={"combination": kind, "k": tuple(int(x) for x in k),
                 "n": None if n is None else tuple(int(x) for x in n),
                 "n_prime": None if n_prime is None else tuple(int(x) for x in n_prime),
-                "r": combo.r, "exponent": combo.exponent,
-                "tc_ref": tc_ref, "c_star": c_star,
-                "m_grid_points": len(m_grid)},
-        margin=attained - reference,
+                "r": combo.r, "m_grid_points": len(m_grid)},
+        margin=attained,
         witnesses=witnesses,
-        notes=f"implied prefactor {implied:.6e} at exponent {combo.exponent}",
+        notes=f"implied prefactor "
+              f"{attained / float(np.linalg.norm(combo.ktilde)):.6e}",
     )
 
 
@@ -568,16 +561,22 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
           (|k| <= 2L; at least one of n, n' off-anchor, or both anchored
           with the non-degenerate frequency offset).
 
-    Requires the alpha/theta Diophantine certificates at (L, L^(-3d)).
+    Requires every anchor in the box |n| <= L and the alpha/theta
+    Diophantine certificates at (L, L^(-3d)).
     The theoretical complement bound L^(50 d b^2) * eta^(1/(b+2)) is
     reported but not enforced (it is vacuous at desk scales).
     """
+    outside = [a for a in params.anchors if max(abs(x) for x in a) > L]
+    if outside:
+        raise PreconditionFailed(
+            f"anchors {outside} lie outside the scan box |n| <= L = {L}")
     _require_diophantine(params, L, float(L) ** (-3 * params.d))
     m_grid = np.atleast_1d(np.asarray(m_grid, dtype=float))
     nm = len(m_grid)
     space = box_vectors((0,) * params.d, (L,) * params.d)  # (Ns, d)
     mus = _mu_array(space.astype(float), params, m_grid)  # (Ns, nm)
-    anchor_rows = [int(np.where((space == np.asarray(a)).all(axis=1))[0][0])
+    anchor_rows = [int(np.ravel_multi_index(tuple(x + L for x in a),
+                                            (2 * L + 1,) * params.d))
                    for a in params.anchors]
     om = mus[anchor_rows, :]                          # (b, nm)
 
@@ -586,10 +585,7 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
 
     # (1) pair separation
     thr1 = (2.0 / math.pi**2) * float(L) ** (-6 * params.d)
-    pair_min = np.full(nm, np.inf)
-    for i in range(len(space) - 1):
-        pair_min = np.minimum(pair_min, np.abs(mus[i + 1:] - mus[i]).min(axis=0))
-    cond1 = pair_min >= thr1
+    cond1 = _smallest_gap(mus) >= thr1
     fails["separation"] = float(1.0 - cond1.mean())
     ok &= cond1
 
@@ -601,8 +597,7 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     ok &= cond2
 
     # (3) shifted, over the cube of radius L minus the resonant set
-    kcube = np.vstack([np.zeros((1, params.b), dtype=int),
-                       _enumerate_nonzero(L, params.b)])
+    kcube = box_vectors((0,) * params.b, (L,) * params.b)
     cond3 = np.ones(nm, dtype=bool)
     for kv in kcube:
         rows = np.ones(len(space), dtype=bool)
@@ -613,28 +608,25 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     fails["shifted"] = float(1.0 - cond3.mean())
     ok &= cond3
 
-    # (4) differences over the admissible pairs, one row i at a time so that
-    # no temporary exceeds (Ns, nm)
-    anchored = np.isin(np.arange(len(space)), anchor_rows)
+    # (4) differences over the pairs i < j ((j, i, -k) repeats (i, j, k)),
+    # one row i at a time so that no temporary exceeds (Ns, nm); for anchors
+    # l and l' at rows i < j, k = e_l' - e_l vanishes identically: excluded
     kall = np.vstack([np.zeros((1, params.b), dtype=int), kvecs])
     kws = [kv.astype(float) @ om for kv in kall]      # each (nm,)
-    cond4 = np.ones(nm, dtype=bool)
-    for i in range(len(space)):
-        free = np.arange(len(space)) != i
-        if anchored[i]:
-            free &= ~anchored
-        diffs = mus[i] - mus[free]                    # (pairs of row i, nm)
-        for kw in kws:
-            cond4 &= (np.abs(kw[None, :] + diffs) > eta).all(axis=0)
+    excluded = {}                # (i, index of k in kall) -> rows of diffs
     for l, i in enumerate(anchor_rows, start=1):
         for lp, j in enumerate(anchor_rows, start=1):
-            if l == lp:
-                continue
-            e = np.array(unit_k(l, params.b)) - np.array(unit_k(lp, params.b))
-            for kv, kw in zip(kall, kws):
-                if (kv + e == 0).all():
-                    continue  # identically-zero combination, excluded
-                cond4 &= np.abs(kw + mus[i] - mus[j]) > eta
+            if i < j:
+                e = np.subtract(unit_k(lp, params.b), unit_k(l, params.b))
+                t = int(np.flatnonzero((kall == e).all(axis=1))[0])
+                excluded.setdefault((i, t), []).append(j - i - 1)
+    cond4 = np.ones(nm, dtype=bool)
+    for i in range(len(space) - 1):
+        diffs = mus[i] - mus[i + 1:]                  # (pairs (i, j > i), nm)
+        for t, kw in enumerate(kws):
+            values = np.abs(kw + diffs)
+            values[excluded.get((i, t), [])] = np.inf
+            cond4 &= (values > eta).all(axis=0)
     fails["difference"] = float(1.0 - cond4.mean())
     ok &= cond4
 

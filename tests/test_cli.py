@@ -184,6 +184,18 @@ class TestCertify:
         bundle = cli.read_file(workdir / "certificates.txt")
         assert not bundle["all_pass"]
 
+    def test_anchor_outside_scan_box_is_bad_config(self, workdir, capsys):
+        cfg = cli.default_config()
+        cfg["model"].update(b=2, anchors=[[0], [7]], amplitudes=[1.0, 1.0])
+        cfg["cert"]["L"] = 5
+        path = workdir / "cfg.txt"
+        cli.write_file(path, cfg)
+        assert run(["certify", "--config", path, "--out", workdir]) == \
+            cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "(7,)" in err and "L = 5" in err
+        assert not (workdir / "certificates.txt").exists()
+
     def test_rerun_byte_identical(self, workdir):
         run(["certify", "--preset", "small-coupling", "--out", workdir])
         first = (workdir / "certificates.txt").read_bytes()
@@ -376,6 +388,18 @@ class TestLdeScan:
         assert run(["lde-scan", "--config", path, "--out", workdir]) == \
             cli.EXIT_BAD_CONFIG
         assert "materialization limit" in capsys.readouterr().err
+        assert not (workdir / "lde_scan.txt").exists()
+
+    def test_region_over_byte_budget_is_bad_config(self, workdir, capsys):
+        # M = 100: the largest region holds 10201 sites, so each of its
+        # n x n arrays would take about 0.8 GB; refused before any is built
+        cfg = cli.preset_config("scan-demo")
+        cfg["scan"]["M"] = 100
+        path = workdir / "scan.txt"
+        cli.write_file(path, cfg)
+        assert run(["lde-scan", "--config", path, "--out", workdir]) == \
+            cli.EXIT_BAD_CONFIG
+        assert "REGION_BYTES" in capsys.readouterr().err
         assert not (workdir / "lde_scan.txt").exists()
 
 

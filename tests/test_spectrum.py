@@ -3,16 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpwave import (FrequencyCombination, InvalidAnchors, ModelParams,
-                    NotApplicable, InsufficientResolution,
+from qpwave import (Certificate, FrequencyCombination, InvalidAnchors,
+                    ModelParams, NotApplicable, InsufficientResolution,
                     PreconditionFailed, admissible_m_scan, check_alpha_dc,
                     check_theta_dc, cluster_count, cluster_scan, d_mu_dm, mu,
                     omega0, separation_certificate, sublevel_measure,
                     transversality_margin, wronskian_det, wronskian_matrix)
 from qpwave.spectrum import derivative_prefactor
 
-from conftest import GOLDEN_MEAN, PRESET_THETA0, golden_params
+from certify_reference import (reference_admissible_m_scan,
+                               reference_separation_certificate)
+from conftest import GOLDEN_ALPHA, GOLDEN_MEAN, PRESET_THETA0, golden_params
 
 TWO_PI = 2.0 * math.pi
 
@@ -385,12 +389,75 @@ class TestAdmissibleMScan:
         assert scan.theoretical_bound > 1.0
         assert not scan.theoretical_bound_feasible
 
+    def test_anchor_outside_box_refused(self):
+        p = golden_params(b=2, anchors=((0,), (7,)))
+        with pytest.raises(PreconditionFailed, match=r"\(7,\).*L = 5"):
+            admissible_m_scan(p, L=5, eta=1e-3, m_grid=[2.5])
+
     def test_theoretical_bound_past_float_range_is_infinite(self):
         # L^(50 d b^2) = 5^450 alone overflows a float
         scan = admissible_m_scan(golden_params(b=3), L=5, eta=1e-3,
                                  m_grid=np.linspace(2.0, 3.0, 5))
         assert scan.theoretical_bound == math.inf
         assert not scan.theoretical_bound_feasible
+
+
+# largest (2L+1)^d (4L+1)^b, box sites times the k of the difference
+# condition, that a drawn case reaches: the reference stays fast
+CERTIFY_WORK = 20_000
+
+
+@st.composite
+def certify_cases(draw):
+    """(params, L, eta, m grid, c_star) with b <= 3, L <= 5 at d = 1 and
+    L <= 3 at d = 2, anchors inside the box and theta0 = 1/2 among the
+    phases (there mu_n = mu_-n, so the separation gaps tie at 0).
+
+    Ties fail the difference condition at every m, and so does a large eta;
+    a 1-point grid or b = 1 seldom tells pair orderings apart.  Such draws
+    stay a minority, so that most cases can catch a dropped pair or k."""
+    b, d = draw(st.sampled_from([2, 3, 1])), draw(st.integers(1, 2))
+    top = max(L for L in range(2, 6 if d == 1 else 4)
+              if (2 * L + 1) ** d * (4 * L + 1) ** b <= CERTIFY_WORK)
+    L = draw(st.integers(2, top))    # L = 1 makes c_star = L^(-3d) = 1
+    anchors = draw(st.lists(st.tuples(*[st.integers(-L, L)] * d),
+                            min_size=b, max_size=b, unique=True))
+    theta0 = draw(st.one_of(st.floats(0.05, 0.95), st.just(PRESET_THETA0),
+                            st.just(0.5)))
+    params = ModelParams(b=b, d=d, p=2, m=draw(st.floats(2.0, 3.0)),
+                         eps=1e-3, delta=1e-3, alpha=GOLDEN_ALPHA[:d],
+                         theta0=theta0, anchors=anchors, amplitudes=(1.0,) * b)
+    eta = draw(st.sampled_from([1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 0.0, 0.1]))
+    m_grid = np.linspace(draw(st.floats(2.0, 2.5)), draw(st.floats(2.5, 3.0)),
+                         draw(st.one_of(st.integers(100, 200),
+                                        st.integers(1, 200))))
+    return params, L, eta, m_grid, draw(st.sampled_from([1e-2, 1e-3]))
+
+
+def _outcome(fn, *args):
+    """The fields of fn's result as exact text (the array as bytes), or the
+    PreconditionFailed it raises."""
+    try:
+        result = fn(*args)
+    except PreconditionFailed as exc:
+        return "PreconditionFailed", str(exc)
+    if isinstance(result, Certificate):
+        return repr(result)
+    return (result.certified_m.dtype.str, result.certified_m.tobytes(),
+            repr(result.certificate), repr(result.condition_fail_fractions),
+            repr(result.failing_fraction), repr(result.theoretical_bound),
+            result.theoretical_bound_feasible)
+
+
+class TestCertifyReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case=certify_cases())
+    def test_sorted_gaps_and_unordered_pairs_match_pair_matrices(self, case):
+        params, L, eta, m_grid, c_star = case
+        assert _outcome(separation_certificate, params, L, c_star) == \
+            _outcome(reference_separation_certificate, params, L, c_star)
+        assert _outcome(admissible_m_scan, params, L, eta, m_grid) == \
+            _outcome(reference_admissible_m_scan, params, L, eta, m_grid)
 
 
 class TestClusterCount:
