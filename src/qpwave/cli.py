@@ -135,7 +135,7 @@ class CertConfig:
 
     def __post_init__(self):
         check_ranges("cert.", self, (
-            ("L", self.L >= 1, ">= 1"),
+            ("L", self.L >= 2, ">= 2"),  # L = 1 makes c* = L^(-3d) = 1
             ("c_star", 0.0 < self.c_star < 1.0, "in (0, 1)"),
             ("eta", self.eta > 0.0, "> 0"),
             ("m_grid_points", self.m_grid_points >= 1, ">= 1"),

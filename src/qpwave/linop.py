@@ -36,7 +36,7 @@ from .spectrum import ModelParams, mu
 
 MAX_CONDITION = 1e14  # above this condition estimate a P-step box is resonant
 SINGULARITY_RTOL = 1.0 / MAX_CONDITION
-DECAY_FIT_FLOOR = 1e-30
+DECAY_FIT_FLOOR = 1e-30    # smaller magnitudes are left out of a decay fit
 MAX_FAMILY_REGIONS = 64
 # bytes of one stack of coupled-block matrices in the LDE scan
 BATCH_BYTES = 1 << 20

@@ -328,9 +328,7 @@ def wronskian_det(space_sites: Sequence[Sequence[int]], m: float,
     if degenerate:
         return 0.0, True
     v = np.array([mu(n, params, m) for n in sites])
-    prefac = 1.0
-    for l in range(1, beta + 1):
-        prefac *= derivative_prefactor(l)
+    prefac = math.prod(derivative_prefactor(l) for l in range(1, beta + 1))
     prefac *= float(np.prod(1.0 / v))
     x = 1.0 / v**2
     vand = 1.0
@@ -661,25 +659,28 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
 
 
 def cluster_count(sigma: float, params: ModelParams, L: int, eta: float) -> int:
-    """Max over the sign xi of #{(k,n), |(k,n)|<=L : |xi(sigma+k.w0)+mu_n| < eta/2}."""
+    """Max over the sign xi of #{(k,n), |(k,n)|<=L : |xi(sigma+k.w0)+mu_n| < eta/2}:
+    ``cluster_scan`` at the one shift sigma."""
     return cluster_scan(params, L, eta, [sigma])[0]
 
 
 def cluster_scan(params: ModelParams, L: int, eta: float, sigma_grid) -> tuple:
-    """(max cluster count over the grid, argmax sigma); vectorized scan."""
+    """(max cluster count over the grid, first sigma attaining it; xi = +1
+    ahead of xi = -1).  The count at sigma is the number of resonance centres
+    -(k.w0 + mu_n) (xi = +1) or mu_n - k.w0 (xi = -1) strictly inside
+    (sigma - eta/2, sigma + eta/2): two binary searches in the sorted
+    centres."""
     sigma_grid = np.atleast_1d(np.asarray(sigma_grid, dtype=float))
     space = box_vectors((0,) * params.d, (L,) * params.d)
     mus = _mu_array(space.astype(float), params, np.array([params.m]))[:, 0]
-    om = omega0(params)
-    kcube = np.vstack([np.zeros((1, params.b), dtype=int),
-                       _enumerate_nonzero(L, params.b)])
-    kw = kcube.astype(float) @ om
+    kw = box_vectors((0,) * params.b, (L,) * params.b).astype(float) \
+        @ omega0(params)
+    lo, hi = sigma_grid - eta / 2.0, sigma_grid + eta / 2.0
     best = (0, float(sigma_grid[0]))
-    for xi in (1.0, -1.0):
-        counts = np.zeros(len(sigma_grid), dtype=int)
-        for w in kw:
-            shift = xi * (sigma_grid + w)
-            counts += (np.abs(shift[:, None] + mus[None, :]) < eta / 2.0).sum(axis=1)
+    for centres in (-(kw[:, None] + mus), mus - kw[:, None]):
+        centres = np.sort(centres, axis=None)
+        counts = (np.searchsorted(centres, hi, "left")
+                  - np.searchsorted(centres, lo, "right"))
         i = int(np.argmax(counts))
         if counts[i] > best[0]:
             best = (int(counts[i]), float(sigma_grid[i]))

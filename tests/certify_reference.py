@@ -1,11 +1,13 @@
 """Pair-matrix reference for ``spectrum.separation_certificate`` and
-``spectrum.admissible_m_scan``.
+``spectrum.admissible_m_scan``, and a direct-count reference for
+``spectrum.cluster_scan``.
 
 Separation takes its minima from the full n x n difference matrices, and the
 difference condition of the scan walks every ordered pair (i, j) with every
-k, then the both-anchored pairs in a loop of their own.  Nothing uses the
-sorted gaps or the (i, j, k) ~ (j, i, -k) symmetry, so this is the oracle
-for the certify path.
+k, then the both-anchored pairs in a loop of their own.  The cluster count
+tests |xi(sigma + k.w0) + mu_n| < eta/2 at every shift for every k and n.
+Nothing uses the sorted gaps, the (i, j, k) ~ (j, i, -k) symmetry or sorted
+resonance centres, so this is the oracle for the certify path.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from qpwave.lattice import box_vectors, unit_k
 from qpwave.spectrum import (AdmissibleMScan, Certificate, _enumerate_nonzero,
-                             _mu_array, _require_diophantine)
+                             _mu_array, _require_diophantine, omega0)
 
 
 def reference_separation_certificate(params, L, c_star):
@@ -149,3 +151,23 @@ def reference_admissible_m_scan(params, L, eta, m_grid):
         certificate=cert,
     )
 
+
+def reference_cluster_scan(params, L, eta, sigma_grid):
+    """``cluster_scan`` by a (sigma, n) comparison for every k and sign xi."""
+    sigma_grid = np.atleast_1d(np.asarray(sigma_grid, dtype=float))
+    space = box_vectors((0,) * params.d, (L,) * params.d)
+    mus = _mu_array(space.astype(float), params, np.array([params.m]))[:, 0]
+    om = omega0(params)
+    kcube = np.vstack([np.zeros((1, params.b), dtype=int),
+                       _enumerate_nonzero(L, params.b)])
+    kw = kcube.astype(float) @ om
+    best = (0, float(sigma_grid[0]))
+    for xi in (1.0, -1.0):
+        counts = np.zeros(len(sigma_grid), dtype=int)
+        for w in kw:
+            shift = xi * (sigma_grid + w)
+            counts += (np.abs(shift[:, None] + mus[None, :]) < eta / 2.0).sum(axis=1)
+        i = int(np.argmax(counts))
+        if counts[i] > best[0]:
+            best = (int(counts[i]), float(sigma_grid[i]))
+    return best

@@ -151,7 +151,7 @@ class TestConfig:
 
 class TestCertify:
     @pytest.mark.parametrize("field, value", [
-        ("L", 0), ("c_star", 1.0), ("eta", 0.0), ("m_grid_points", 0),
+        ("L", 0), ("L", 1), ("c_star", 1.0), ("eta", 0.0), ("m_grid_points", 0),
         ("sigma_grid_points", 0), ("transversality_m_points", 0),
         ("L", True), ("m_grid_points", 20.5), ("eta", True),
     ])

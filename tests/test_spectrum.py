@@ -15,6 +15,7 @@ from qpwave import (Certificate, FrequencyCombination, InvalidAnchors,
 from qpwave.spectrum import derivative_prefactor
 
 from certify_reference import (reference_admissible_m_scan,
+                               reference_cluster_scan,
                                reference_separation_certificate)
 from conftest import GOLDEN_ALPHA, GOLDEN_MEAN, PRESET_THETA0, golden_params
 
@@ -458,6 +459,22 @@ class TestCertifyReference:
             _outcome(reference_separation_certificate, params, L, c_star)
         assert _outcome(admissible_m_scan, params, L, eta, m_grid) == \
             _outcome(reference_admissible_m_scan, params, L, eta, m_grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=certify_cases(),
+           points=st.one_of(st.just(4001), st.integers(1, 4001)))
+    def test_sorted_centres_match_direct_count(self, case, points):
+        params, L, eta, _, _ = case
+        reach = L * float(np.abs(omega0(params)).sum()) \
+            + math.sqrt(params.m + 1.0) + 1.0     # the certify window
+        # the xi = -1 centres mirror the xi = +1 ones, so only the half
+        # window can tell a dropped sign
+        for grid in (np.linspace(-reach, reach, points),
+                     np.linspace(0.0, reach, points)):
+            worst, at = cluster_scan(params, L, eta, grid)
+            assert (worst, at) == reference_cluster_scan(params, L, eta, grid)
+            if eta == 0.0:    # no centre lies inside an empty interval
+                assert (worst, at) == (0, grid[0])
 
 
 class TestClusterCount:
