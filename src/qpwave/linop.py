@@ -12,9 +12,9 @@ the Green's function diagnostics and the Schur complement) or as CSR
 carry the operator norm, a fitted off-diagonal decay rate and pass flags
 against exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
 Scans over the spectral shift classify each grid sigma as good or bad for a
-subsampled family of translated elementary regions, whose entries are
-restricted from one assembly on the family's union; bad fractions are
-reported against exp(-M^rho1).
+subsampled family of translated elementary regions, all split into blocks at
+once from one assembly on the family's union, with the cross-block decay
+bound in closed form; bad fractions are reported against exp(-M^rho1).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ DECAY_FIT_FLOOR = 1e-30    # smaller magnitudes are left out of a decay fit
 MAX_FAMILY_REGIONS = 64
 # bytes of one stack of coupled-block matrices in the LDE scan
 BATCH_BYTES = 1 << 20
-# bytes of one n x n float array of an LDE scan region (n <= 1448 sites)
+# caps an LDE scan region at n sites with 8 n^2 <= REGION_BYTES (1448 sites)
 REGION_BYTES = 1 << 24
 
 
@@ -104,18 +104,6 @@ class _Entries(NamedTuple):
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    def restrict(self, idx: RegionIndex) -> "_Entries":
-        """The entries on the sub-region indexed by ``idx``: every entry
-        depends only on the sites it sits on, so this is the sub-region's own
-        assembly, with its edges in another order."""
-        at = self.index.lookup(idx.vectors)
-        local = np.full(self.index.size, -1)
-        local[at] = np.arange(idx.size)
-        rows, cols = local[self.rows], local[self.cols]
-        keep = (rows >= 0) & (cols >= 0)
-        return _Entries(idx, self.mu2[at], self.kw[at], self.diag[at],
-                        rows[keep], cols[keep], self.vals[keep])
 
 
 def _entries_on(idx: RegionIndex, sigma: float, omega: Sequence[float],
@@ -208,8 +196,8 @@ class GreenReport:
 
 
 def _pair_distances(vecs: np.ndarray) -> np.ndarray:
-    """Sup-norm distances between the rows of an int array."""
-    return np.abs(vecs[:, None, :] - vecs[None, :, :]).max(axis=-1)
+    """Sup-norm distances between the rows of (stacks of) int arrays."""
+    return np.abs(vecs[..., :, None, :] - vecs[..., None, :, :]).max(axis=-1)
 
 
 def _is_singular(smallest, largest):
@@ -398,11 +386,66 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _sigma_chunks(count: int, size: int) -> list:
+def _chunks(count: int, size: int) -> list:
     """Consecutive slices of range(count) whose stacks of size x size float
-    matrices stay within BATCH_BYTES (one sigma at least)."""
+    matrices stay within BATCH_BYTES (one matrix at least)."""
     step = max(1, BATCH_BYTES // (8 * size * size))
     return [slice(a, a + step) for a in range(0, count, step)]
+
+
+def _groups(keys: np.ndarray, count: int) -> tuple:
+    """Items grouped by an int key in range(count): their stable order by
+    key, each item's rank within its key, and where each key's items end in
+    that order."""
+    order = np.argsort(keys, kind="stable")
+    sizes = np.bincount(keys, minlength=count)
+    ends = np.cumsum(sizes)
+    rank = np.empty(len(keys), dtype=int)
+    rank[order] = np.arange(len(keys)) - np.repeat(ends - sizes, sizes)
+    return order, rank, ends
+
+
+def _restrict_family(union: _Entries, family: Sequence[RegionSpec]) -> tuple:
+    """The union's entries on the family's regions side by side, each in its
+    own row order: every row's union row and region, and the rows, cols and
+    values of the nonzero off-diagonal entries.  Entries depend only on
+    their sites, so each region's part is its own assembly."""
+    at = union.index.lookup(np.concatenate([r.vectors() for r in family]))
+    region = np.repeat(np.arange(len(family)), [r.size() for r in family])
+    edge = union.vals != 0.0
+    rows, cols, vals = union.rows[edge], union.cols[edge], union.vals[edge]
+    by_row, _, row_end = _groups(rows, union.index.size)
+    # each row's union entries, then the same region's row at their columns
+    deg = np.diff(row_end, prepend=0)[at]
+    src = np.repeat(np.arange(len(at)), deg)
+    e = by_row[np.repeat(row_end[at] - np.cumsum(deg), deg)
+               + np.arange(deg.sum())]
+    key = region * union.index.size + at
+    target = region[src] * union.index.size + cols[e]
+    sorter = np.argsort(key)
+    dst = sorter[np.minimum(np.searchsorted(key, target, sorter=sorter),
+                            len(key) - 1)]
+    hit = key[dst] == target
+    return at, region, src[hit], dst[hit], vals[e[hit]]
+
+
+def _cross_reach(lo: np.ndarray, hi: np.ndarray, group: np.ndarray,
+                 count: int) -> np.ndarray:
+    """Per group in range(count), the largest sup distance between points of
+    two different boxes [lo, hi] (int rows) of the group, 0 for one box: per
+    axis the top box by hi and the bottom box by lo or, when they are one
+    box, either with the other's runner-up."""
+    sizes = np.bincount(group, minlength=count)
+    many = sizes >= 2
+    top = np.cumsum(sizes)[many] - 1
+    bot = top + 1 - sizes[many]
+    reach = np.zeros(count, dtype=int)
+    for h, l in zip(hi.T, lo.T):
+        by_h, by_l = np.lexsort((h, group)), np.lexsort((l, group))
+        t1, t2, b1, b2 = by_h[top], by_h[top - 1], by_l[bot], by_l[bot + 1]
+        reach[many] = np.maximum(reach[many], np.where(
+            t1 != b1, h[t1] - l[b1], np.maximum(h[t1] - l[b2], h[t2] - l[b1])))
+    return reach
 
 
 @dataclass(frozen=True)
@@ -425,118 +468,91 @@ class _CoupledBlock:
             + self.rest
         return a
 
-
-@dataclass(frozen=True)
-class _ScanRegion:
-    """One family region split into the connected blocks of its
-    sigma-independent off-diagonal part (labelled by ``_components``).
-
-    A rigid block has a single k, so H_c(sigma) = B_c - (sigma + k.omega)^2 I
-    and the eigenpairs (zeta_l, V) of B_c give every sigma at once: the
-    eigenvalues zeta_l - s^2 and G_ij = sum_l V_il V_jl / (zeta_l - s^2).
-    A coupled block is stacked over chunks of the grid of at most
-    BATCH_BYTES and gets one eigvalsh, and one inv over the passing sigmas,
-    per chunk.
-    """
-
-    zeta: np.ndarray          # eigenvalues of all rigid B_c
-    zeta_kw: np.ndarray       # k.omega of the block of each zeta
-    weights: np.ndarray       # (zeta, rigid far pairs i<j): V_il V_jl
-    pair_bound: np.ndarray    # decay bound of each rigid far pair
-    cross_bound: float        # min decay bound over far pairs across blocks
-    coupled: tuple
-
-    def scan(self, sigma_grid: np.ndarray, norm_bound: float) -> tuple:
-        """Per sigma: the norm 1/min|eig| (inf when singular), the mask of
-        sigmas passing the singular guard and the norm bound, and the min
-        of bound - |G| over far pairs (meaningful where the mask holds)."""
-        eig = self.zeta - (sigma_grid[:, None] + self.zeta_kw) ** 2
-        abs_eig = np.abs(eig)
-        smallest = abs_eig.min(axis=1, initial=np.inf)
-        largest = abs_eig.max(axis=1, initial=0.0)
-        for block in self.coupled:
-            for sl in _sigma_chunks(len(sigma_grid), len(block.kw)):
-                block_eig = np.abs(np.linalg.eigvalsh(block.at(sigma_grid[sl])))
-                smallest[sl] = np.minimum(smallest[sl], block_eig.min(axis=1))
-                largest[sl] = np.maximum(largest[sl], block_eig.max(axis=1))
-        singular = _is_singular(smallest, largest)
-        with np.errstate(divide="ignore"):
-            norm = np.where(singular, np.inf, 1.0 / smallest)
-        ok = ~singular & (norm <= norm_bound)
-
-        margin = np.full(len(sigma_grid), self.cross_bound)
-        if self.pair_bound.size:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = (1.0 / eig) @ self.weights
-            margin = np.minimum(margin, (self.pair_bound - np.abs(g)).min(axis=1))
-        passing = np.flatnonzero(ok)
-        for block in self.coupled:
-            if not block.decay_bound.size:
-                continue
-            for sl in _sigma_chunks(len(passing), len(block.kw)):
-                isg = passing[sl]
-                g = np.linalg.inv(block.at(sigma_grid[isg]))
-                margin[isg] = np.minimum(margin[isg], (
-                    block.decay_bound - np.abs(g[:, block.far])).min(axis=1))
-        return norm, ok, margin
+    def extent(self, sigma_grid: np.ndarray) -> tuple:
+        """Per sigma, min and max |eigenvalue|, one eigvalsh per chunk."""
+        lo, hi = np.empty(len(sigma_grid)), np.empty(len(sigma_grid))
+        for sl in _chunks(len(sigma_grid), len(self.kw)):
+            eig = np.abs(np.linalg.eigvalsh(self.at(sigma_grid[sl])))
+            lo[sl], hi[sl] = eig.min(axis=1), eig.max(axis=1)
+        return lo, hi
 
 
-def _scan_region(ent: _Entries, rate_req: float,
-                 min_dist: float) -> _ScanRegion:
-    """Split one region's sigma = 0 entries into rigid and coupled blocks."""
-    kw, mu2, n = ent.kw, ent.mu2, ent.index.size
-    offdiag = np.zeros((n, n))
-    offdiag[ent.rows, ent.cols] += ent.vals
-    rest = ent.diag - (mu2 - kw**2)
-    dists = _pair_distances(ent.index.vectors)
-    far = dists >= min_dist
-    np.fill_diagonal(far, False)
-    decay_bound = np.exp(-rate_req * dists)
+def _family_blocks(union: _Entries, family: Sequence[RegionSpec],
+                   rate_req: float, min_dist: float) -> tuple:
+    """Every family region's blocks, found for all regions at once.
 
-    edge = ent.vals != 0.0
-    labels = _components(n, ent.rows[edge], ent.cols[edge])
-    cross = far & (labels[:, None] != labels[None, :])
-    cross_bound = float(decay_bound[cross].min()) if cross.any() else np.inf
-    order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    Returns the distinct coupled blocks and, per region: the cross-block
+    bound; its rigid blocks' eigenvalues zeta, their k.omega, the bounds of
+    its rigid far pairs i < j and the (zeta, pair) rows, cols and values
+    V_il V_jl of the weights, by (block size, block, l or i, j); the indices
+    of its coupled blocks."""
+    at, region, rows, cols, vals = _restrict_family(union, family)
+    kw, mu2, vecs = union.kw[at], union.mu2[at], union.index.vectors[at]
+    rest = (union.diag - (union.mu2 - union.kw**2))[at]
+    labels = _components(len(at), rows, cols)
+    order, pos, ends = _groups(labels, labels.max() + 1)
+    size = np.diff(ends, prepend=0)
+    start = ends - size
+    block_region, block_of_entry = region[order[start]], labels[rows]
+    rigid = np.minimum.reduceat(kw[order], start) \
+        == np.maximum.reduceat(kw[order], start)
+    reach = _cross_reach(np.minimum.reduceat(vecs[order], start),
+                         np.maximum.reduceat(vecs[order], start),
+                         block_region, len(family))
+    cross = np.where(reach >= min_dist, np.exp(-rate_req * reach), np.inf)
 
-    coupled, rigid_by_size = [], {}
-    for idx in blocks:
-        if (kw[idx] == kw[idx[0]]).all():
-            rigid_by_size.setdefault(len(idx), []).append(idx)
-        else:
-            sub = np.ix_(idx, idx)
-            coupled.append(_CoupledBlock(offdiag[sub], mu2[idx], rest[idx],
-                                         kw[idx], far[sub],
-                                         decay_bound[sub][far[sub]]))
-
-    empty, none = np.zeros(0), np.zeros(0, dtype=int)
-    zeta, zeta_kw, bounds, vals = [empty], [empty], [empty], [empty]
-    rows, cols = [none], [none]
-    offset = n_pairs = 0
-    for size, group in sorted(rigid_by_size.items()):
-        idx = np.array(group)                      # (blocks, size)
-        pair = (idx[:, :, None], idx[:, None, :])
-        mats = offdiag[pair]
-        diag = np.arange(size)
-        mats[:, diag, diag] = mu2[idx] + rest[idx]
+    def rigid_stack(blk, s):
+        # blocks blk of size s: their rows (the l-th holds zeta_l); per far
+        # pair a row, size and bound; per weight its zeta's row and value
+        diag = np.arange(s)
+        nodes = order[start[blk][:, None] + diag]
+        e = np.flatnonzero(np.isin(block_of_entry, blk))
+        mats = np.zeros((len(blk), s, s))
+        mats[:, diag, diag] = mu2[nodes] + rest[nodes]
+        mats[np.searchsorted(blk, block_of_entry[e]), pos[rows[e]],
+             pos[cols[e]]] = vals[e]
         z, v = np.linalg.eigh(mats)
-        zeta.append(z.ravel())
-        zeta_kw.append(np.repeat(kw[idx[:, 0]], size))
-        blk, i, j = np.nonzero(np.triu(far[pair]))
-        rows.append((offset + blk[:, None] * size + diag).ravel())
-        cols.append(np.repeat(n_pairs + np.arange(len(blk)), size))
-        vals.append((v[blk, i, :] * v[blk, j, :]).ravel())
-        bounds.append(decay_bound[idx[blk, i], idx[blk, j]])
-        offset += idx.size
-        n_pairs += len(blk)
+        dists = _pair_distances(vecs[nodes])
+        b, i, j = np.nonzero(np.triu(dists >= min_dist))
+        return (nodes.ravel(), z.ravel(), nodes[b, 0], np.full(len(b), s),
+                np.exp(-rate_req * dists[b, i, j]), nodes[b].ravel(),
+                (v[b, i, :] * v[b, j, :]).ravel())
 
-    weights = np.zeros((offset, n_pairs))
-    weights[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
-    return _ScanRegion(
-        zeta=np.concatenate(zeta), zeta_kw=np.concatenate(zeta_kw),
-        weights=weights, pair_bound=np.concatenate(bounds),
-        cross_bound=cross_bound, coupled=tuple(coupled))
+    none, empty = np.zeros(0, dtype=int), np.zeros(0)
+    stacks = [(none, empty, none, none, empty, none, empty)] + [
+        rigid_stack(ids[sl], s) for s in np.unique(size[rigid])
+        for ids in [np.flatnonzero(rigid & (size == s))]
+        for sl in _chunks(len(ids), s)]
+    z_node, zeta, p_node, p_size, bound, w_node, w_val = map(
+        np.concatenate, zip(*stacks))
+    z_order, z_rank, z_end = _groups(region[z_node], len(family))
+    p_order, p_rank, p_end = _groups(region[p_node], len(family))
+    w_order, _, w_end = _groups(region[w_node], len(family))
+    row_of = np.empty(len(at), dtype=int)
+    row_of[z_node] = z_rank
+    w_pair = np.repeat(np.arange(len(p_node)), p_size)
+    rigid_parts = [np.split(x, end[:-1]) for x, end in (
+        (zeta[z_order], z_end), (kw[z_node[z_order]], z_end),
+        (bound[p_order], p_end), (row_of[w_node[w_order]], w_end),
+        (p_rank[w_pair[w_order]], w_end), (w_val[w_order], w_end))]
+
+    # one coupled block per distinct site set, shared by the regions holding it
+    blocks, shared, coupled = [], {}, [[] for _ in family]
+    for c in np.flatnonzero(~rigid):
+        nodes = order[start[c]:ends[c]]
+        key = at[nodes].tobytes()
+        if key not in shared:
+            e = np.flatnonzero(block_of_entry == c)
+            offdiag = np.zeros((size[c], size[c]))
+            offdiag[pos[rows[e]], pos[cols[e]]] = vals[e]
+            dists = _pair_distances(vecs[nodes])
+            far = dists >= min_dist
+            shared[key] = len(blocks)
+            blocks.append(_CoupledBlock(offdiag, mu2[nodes], rest[nodes],
+                                        kw[nodes], far,
+                                        np.exp(-rate_req * dists[far])))
+        coupled[block_region[c]].append(shared[key])
+    return blocks, list(zip(cross, *rigid_parts, coupled))
 
 
 def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
@@ -555,20 +571,20 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     (the asymptotic absolute-measure bound requires scales far beyond any
     grid this tool runs).
 
-    Every region's entries are restricted from one assembly on the union of
-    the family's sites.  Sigma enters H only on the diagonal, as
-    -(sigma + k.omega)^2, so each region is split once into the connected
-    components of its off-diagonal part (by min-label propagation); the
-    inverse vanishes between components.  A component on a single k (every
-    site away from the kernel's n-support, and every site when
-    eps = delta = 0) is rigid: one eigendecomposition of its sigma = -k.omega
-    matrix gives its eigenvalues and far-pair Green's entries on the whole
-    grid.  The remaining components (those the kernel couples across k) are
-    stacked over chunks of sigmas of at most BATCH_BYTES; each chunk gets one
-    eigvalsh, and, when the component holds far pairs, one inverse over the
-    chunk's sigmas where the region passes the norm checks.  Per sigma and
-    region, min and max |eig| are taken over all components and feed the
-    singular guard; far pairs across components count with G = 0.
+    The scan runs once per family: the regions' entries, restricted from
+    one assembly on the union of the family's sites, are laid side by side
+    and one min-label propagation splits them into every region's connected
+    blocks.  Sigma enters H only on the diagonal, as -(sigma + k.omega)^2,
+    so the inverse vanishes between blocks at every sigma.  A block on one
+    k.omega (every block when eps = delta = 0) is rigid: the eigenpairs of
+    its sigma = -k.omega matrix, from one eigh per block size and chunk of at
+    most BATCH_BYTES, give its eigenvalues and far-pair Green's entries on
+    the whole grid.  A coupled block gets one eigvalsh per chunk of sigmas
+    and distinct site set and, with far pairs, one inv per chunk and region
+    over the sigmas where the region passes the norm checks.  Per sigma and
+    region, min and max |eig| over its blocks feed the singular guard.  Far
+    pairs across blocks have G = 0 and enter as exp(-gamma' D), D >= M^rho3
+    the largest sup distance between two blocks (least when gamma' >= 0).
     """
     resonant = params.resonant_set()
     family = elementary_region_family(M, params.b, params.d, resonant,
@@ -577,8 +593,8 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     largest = max(len(region.vectors()) for region in family)
     if 8 * largest**2 > REGION_BYTES:
         raise RegionTooLarge(
-            f"an LDE scan region of {largest} sites needs {8 * largest**2} "
-            f"bytes per n x n array, above REGION_BYTES = {REGION_BYTES}")
+            f"an LDE scan region of {largest} sites is above the "
+            f"{math.isqrt(REGION_BYTES // 8)}-site cap of REGION_BYTES")
     if sigma_grid is None:
         lo, hi = default_sigma_window(M, params, omega)
         sigma_grid = np.linspace(lo, hi, num_sigma)
@@ -593,10 +609,32 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     worst_decay = np.full(n_sigma, np.inf)
     union = _entries_on(RegionIndex(_family_vectors(family), params.b), 0.0,
                         omega, params, kernel)
-    for region in family:
-        blocks = _scan_region(union.restrict(index_map(region)), rate_req,
-                              min_dist)
-        norm, ok, margin = blocks.scan(sigma_grid, norm_bound)
+    blocks, regions = _family_blocks(union, family, rate_req, min_dist)
+    extents = [block.extent(sigma_grid) for block in blocks]
+    for cross, zeta, zeta_kw, bound, w_rows, w_cols, w_val, coupled in regions:
+        eig = zeta - (sigma_grid[:, None] + zeta_kw) ** 2
+        abs_eig = np.abs(eig)
+        smallest = np.min([abs_eig.min(axis=1, initial=np.inf)]
+                          + [extents[c][0] for c in coupled], axis=0)
+        largest = np.max([abs_eig.max(axis=1, initial=0.0)]
+                         + [extents[c][1] for c in coupled], axis=0)
+        singular = _is_singular(smallest, largest)
+        with np.errstate(divide="ignore"):
+            norm = np.where(singular, np.inf, 1.0 / smallest)
+        ok = ~singular & (norm <= norm_bound)
+
+        weights = np.zeros((len(zeta), len(bound)))
+        weights[w_rows, w_cols] = w_val
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.abs((1.0 / eig) @ weights)
+        margin = np.minimum(cross, (bound - g).min(axis=1, initial=np.inf))
+        passing = np.flatnonzero(ok)
+        for block in (blocks[c] for c in coupled if blocks[c].far.any()):
+            for sl in _chunks(len(passing), len(block.kw)):
+                isg = passing[sl]
+                g = np.linalg.inv(block.at(sigma_grid[isg]))[:, block.far]
+                margin[isg] = np.minimum(margin[isg], (
+                    block.decay_bound - np.abs(g)).min(axis=1))
         worst_norm = np.maximum(worst_norm, norm)
         worst_decay = np.where(ok, np.minimum(worst_decay, margin), worst_decay)
         bad |= ~ok | (margin < 0.0)

@@ -564,6 +564,8 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     The theoretical complement bound L^(50 d b^2) * eta^(1/(b+2)) is
     reported but not enforced (it is vacuous at desk scales).
     """
+    if L < 2:   # L = 1 makes the Diophantine constant c* = L^(-3d) = 1
+        raise PreconditionFailed(f"scan scale L must be >= 2, got L = {L}")
     outside = [a for a in params.anchors if max(abs(x) for x in a) > L]
     if outside:
         raise PreconditionFailed(

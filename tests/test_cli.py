@@ -391,8 +391,8 @@ class TestLdeScan:
         assert not (workdir / "lde_scan.txt").exists()
 
     def test_region_over_byte_budget_is_bad_config(self, workdir, capsys):
-        # M = 100: the largest region holds 10201 sites, so each of its
-        # n x n arrays would take about 0.8 GB; refused before any is built
+        # M = 100: the largest region holds 10201 sites, above the
+        # 1448-site cap; refused before the scan starts
         cfg = cli.preset_config("scan-demo")
         cfg["scan"]["M"] = 100
         path = workdir / "scan.txt"

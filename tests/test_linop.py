@@ -23,7 +23,7 @@ from qpwave.solver import initial_field
 
 from assembly_reference import reference_assemble, reference_assemble_sparse
 from conftest import golden_params
-from lde_reference import reference_lde_scan
+from lde_reference import reference_block_scan, reference_lde_scan
 
 
 def op_spec(params, region=None, sigma=0.37, kernel=None, omega=None):
@@ -295,30 +295,87 @@ class TestLdeScan:
         np.testing.assert_allclose(report.worst_decay_margin, worst_decay,
                                    rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("b, d, M", [(1, 1, 8), (2, 1, 4)])
+    @settings(max_examples=12, deadline=None)
+    @given(theta0=st.floats(0.0, 1.0), m=st.floats(2.0, 3.0),
+           shape=st.sampled_from([(1, 1, 4), (1, 1, 6), (1, 1, 8), (1, 2, 4),
+                                  (1, 2, 6), (1, 2, 8), (2, 1, 4), (2, 1, 6),
+                                  (2, 1, 8), (2, 2, 4)]),
+           couplings=st.sampled_from([(0.0, 0.0), (1e-3, 1e-3), (0.3, 0.0),
+                                      (0.05, 0.05)]),
+           max_regions=st.sampled_from([linop.MAX_FAMILY_REGIONS, 5]),
+           # rho3 = 1: far pairs start exactly at the integer distance M
+           thresholds=st.sampled_from([Thresholds(), Thresholds(rho3=1.0)]))
+    def test_family_scan_is_bitwise_the_region_by_region_scan(
+            self, theta0, m, shape, couplings, max_regions, thresholds):
+        b, d, M = shape
+        eps, delta = couplings
+        p = dataclasses.replace(golden_params(b=b, d=d, eps=eps, delta=delta),
+                                theta0=theta0, m=m)
+        om = tuple(float(w) for w in omega0(p))
+        kernel = linearize(initial_field(p), p.p) if delta else None
+        report = lde_scan(M, p, om, kernel=kernel, num_sigma=11,
+                          thresholds=thresholds, max_regions=max_regions)
+        want = reference_block_scan(M, p, om, kernel, report.sigma_grid,
+                                    thresholds, max_regions)
+        for name, ref in zip(("bad_flags", "worst_norm",
+                              "worst_decay_margin"), want):
+            assert getattr(report, name).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("b, d, M", [(1, 1, 8), (2, 1, 4), (1, 2, 4)])
     def test_one_sigma_chunks_are_bitwise_the_default(self, monkeypatch,
                                                       b, d, M):
         p = golden_params(b=b, d=d)
         om = tuple(float(w) for w in omega0(p))
         kernel = linearize(initial_field(p), p.p)
-        eigvalsh = np.linalg.eigvalsh
-        calls = []
-
-        def counted(a):
-            calls.append(len(a))
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calls = {"eigvalsh": [], "eigh": []}
+        for name, fn in [(n, getattr(np.linalg, n)) for n in calls]:
+            def counted(a, fn=fn, name=name):
+                calls[name].append(len(a))
+                return fn(a)
+            monkeypatch.setattr(np.linalg, name, counted)
         default = lde_scan(M, p, om, kernel=kernel, num_sigma=101)
-        n_default = len(calls)
+        n_default = {name: len(c) for name, c in calls.items()}
         monkeypatch.setattr(linop, "BATCH_BYTES", 1)
         single = lde_scan(M, p, om, kernel=kernel, num_sigma=101)
-        # the scan has coupled blocks, and one sigma per chunk splits them
-        assert 0 < n_default < len(calls) - n_default
-        assert set(calls[n_default:]) == {1}
+        # the scan has coupled and rigid blocks, and one matrix per chunk
+        # splits the coupled blocks' sigmas and the stacked rigid blocks
+        for name, c in calls.items():
+            assert 0 < n_default[name] < len(c) - n_default[name]
+            assert set(c[n_default[name]:]) == {1}
+        assert sum(calls["eigh"][n_default["eigh"]:]) == \
+            sum(calls["eigh"][:n_default["eigh"]])
         for name in ("bad_flags", "worst_norm", "worst_decay_margin"):
             assert getattr(single, name).tobytes() == \
                 getattr(default, name).tobytes()
+
+    @pytest.mark.parametrize("b, d, M, eps, delta", [
+        (1, 1, 8, 1e-3, 1e-3), (1, 1, 8, 0.0, 0.0), (1, 2, 4, 0.3, 0.0),
+        (2, 1, 6, 0.05, 0.05)])
+    def test_one_eigh_per_rigid_block_size(self, monkeypatch, b, d, M, eps,
+                                           delta):
+        p = golden_params(b=b, d=d, eps=eps, delta=delta)
+        om = tuple(float(w) for w in omega0(p))
+        kernel = linearize(initial_field(p), p.p) if delta else None
+        eigh = np.linalg.eigh
+        stacks = []
+
+        def counted(a):
+            stacks.append(a.shape[:-1])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        report = lde_scan(M, p, om, kernel=kernel, num_sigma=21)
+        family_stacks = stacks[:]
+        reference_block_scan(M, p, om, kernel, report.sigma_grid)
+        region_stacks = stacks[len(family_stacks):]
+        # one call per rigid block size over the whole family (each fits
+        # one chunk here), holding the blocks every region's calls hold
+        sizes = [s for _, s in family_stacks]
+        assert len(sizes) == len(set(sizes)) < report.n_regions
+        assert len(region_stacks) >= report.n_regions
+        for s in sizes:
+            assert sum(n for n, t in family_stacks if t == s) == \
+                sum(n for n, t in region_stacks if t == s)
 
     @pytest.mark.parametrize("b, d, M", [(1, 1, 8), (2, 1, 4), (1, 2, 4)])
     def test_union_restriction_is_the_region_assembly(self, b, d, M):
@@ -328,19 +385,26 @@ class TestLdeScan:
         family = elementary_region_family(M, b, d, p.resonant_set())
         union = linop._entries_on(
             RegionIndex(linop._family_vectors(family), b), 0.0, om, p, kernel)
-        for region in family:
-            got = union.restrict(index_map(region))
+        at, region, rows, cols, vals = linop._restrict_family(union, family)
+        assert (np.diff(region) >= 0).all() and \
+            (region[rows] == region[cols]).all()
+        offset = 0
+        for r, spec in enumerate(family):
             want = linop._assemble_entries(
-                OperatorSpec(region, 0.0, om, p, kernel))
+                OperatorSpec(spec, 0.0, om, p, kernel))
+            n = want.index.size
+            assert np.count_nonzero(region == r) == n
+            assert (union.index.vectors[at[offset:offset + n]] ==
+                    want.index.vectors).all()
             for name in ("mu2", "kw", "diag"):
-                assert getattr(got, name).tobytes() == \
-                    getattr(want, name).tobytes()
-            dense = []
-            for ent in (got, want):
-                a = np.zeros((ent.index.size,) * 2)
-                a[ent.rows, ent.cols] += ent.vals
-                dense.append(a.tobytes())
-            assert dense[0] == dense[1]
+                assert getattr(union, name)[at[offset:offset + n]].tobytes() \
+                    == getattr(want, name).tobytes()
+            dense = [np.zeros((n, n)), np.zeros((n, n))]
+            mine = region[rows] == r
+            dense[0][rows[mine] - offset, cols[mine] - offset] = vals[mine]
+            dense[1][want.rows, want.cols] += want.vals
+            assert dense[0].tobytes() == dense[1].tobytes()
+            offset += n
 
     def test_family_is_subsampled_and_deduplicated(self):
         fam = elementary_region_family(6, 1, 1, None, max_regions=64)
@@ -353,6 +417,30 @@ class TestLdeScan:
         lo, hi = default_sigma_window(8, params, om)
         worst = 4 * abs(om[0]) + mu((0,), params)
         assert lo < -worst and hi > worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                                 st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=1, max_size=25),
+       dim=st.integers(1, 2))
+def test_cross_reach_is_the_farthest_cross_pair(points, dim):
+    # rows (group, block within the group, vector); lo and hi bound each
+    # block's points, against every pair of points in two blocks
+    rows = np.array(points)
+    group, vecs = rows[:, 0], rows[:, 2:2 + dim]
+    block = rows[:, 1] + 4 * group
+    ids, block_of = np.unique(block, return_inverse=True)
+    lo = np.array([vecs[block_of == i].min(axis=0) for i in range(len(ids))])
+    hi = np.array([vecs[block_of == i].max(axis=0) for i in range(len(ids))])
+    want = np.zeros(3, dtype=int)
+    for x in range(len(rows)):
+        for y in range(len(rows)):
+            if group[x] == group[y] and block[x] != block[y]:
+                want[group[x]] = max(want[group[x]],
+                                     np.abs(vecs[x] - vecs[y]).max())
+    got = linop._cross_reach(lo, hi, ids // 4, 3)
+    np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -338,6 +338,12 @@ class TestAdmissibleMScan:
         with pytest.raises(PreconditionFailed):
             admissible_m_scan(p, L=5, eta=1e-3, m_grid=np.linspace(2, 3, 11))
 
+    @pytest.mark.parametrize("L", [1, 0, -2])
+    def test_scale_below_two_names_L(self, L):
+        with pytest.raises(PreconditionFailed, match=f"L = {L}"):
+            admissible_m_scan(golden_params(), L=L, eta=0.01,
+                              m_grid=np.linspace(2.0, 3.0, 11))
+
     def test_certified_list_nonempty(self):
         p = golden_params()
         scan = admissible_m_scan(p, L=5, eta=1e-3,
