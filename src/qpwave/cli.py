@@ -434,9 +434,8 @@ def run_lde_scan(cfg: dict, out_dir: Path) -> int:
     omega = spectrum.omega0(params)
     kernel = linearize(solver.initial_field(params), params.p) \
         if params.delta != 0.0 else None
-    sigma_grid = None
-    if scan.window is not None:
-        sigma_grid = np.linspace(*scan.window, scan.num_sigma)
+    sigma_grid = np.linspace(*scan.window, scan.num_sigma) \
+        if scan.window is not None else None
     report = linop.lde_scan(
         scan.M, params, tuple(float(w) for w in omega), kernel,
         sigma_grid=sigma_grid,

@@ -11,10 +11,9 @@ the Green's function diagnostics and the Schur complement) or as CSR
 (``assemble_sparse``, for the solver's P-step).  Green's function reports
 carry the operator norm, a fitted off-diagonal decay rate and pass flags
 against exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
-Scans over the spectral shift classify each grid sigma as good or bad for a
-subsampled family of translated elementary regions, all split into blocks at
-once from one assembly on the family's union, with the cross-block decay
-bound in closed form; bad fractions are reported against exp(-M^rho1).
+Scans over the spectral shift mark each grid sigma good or bad on a family
+of translated elementary regions, all split into blocks at once from one
+assembly on their union; bad fractions are compared with exp(-M^rho1).
 """
 
 from __future__ import annotations
@@ -236,13 +235,11 @@ def _green_report(matrix: np.ndarray, vecs: np.ndarray, scale: float,
     far = dists >= min_dist
     np.fill_diagonal(far, False)
     n_far = int(np.count_nonzero(far))
-    decay_ok = bool((np.abs(green[far]) <= np.exp(-rate_req * dists[far])).all()) \
-        if n_far else True
+    g, x = np.abs(green[far]), dists[far]
+    decay_ok = bool((g <= np.exp(-rate_req * x)).all())
 
     rate_fit, fit_res = float("nan"), float("nan")
     if n_far:
-        g = np.abs(green[far])
-        x = dists[far]
         keep = g > DECAY_FIT_FLOOR
         if np.count_nonzero(keep) >= 2 and len(np.unique(x[keep])) >= 2:
             coeffs, res, *_ = np.polyfit(x[keep], np.log(g[keep]), 1, full=True)
@@ -479,13 +476,11 @@ class _CoupledBlock:
 
 def _family_blocks(union: _Entries, family: Sequence[RegionSpec],
                    rate_req: float, min_dist: float) -> tuple:
-    """Every family region's blocks, found for all regions at once.
-
-    Returns the distinct coupled blocks and, per region: the cross-block
-    bound; its rigid blocks' eigenvalues zeta, their k.omega, the bounds of
-    its rigid far pairs i < j and the (zeta, pair) rows, cols and values
-    V_il V_jl of the weights, by (block size, block, l or i, j); the indices
-    of its coupled blocks."""
+    """Every family region's blocks, found at once: the distinct coupled
+    blocks and, per region, the cross-block bound; its rigid blocks'
+    eigenvalues zeta, their k.omega, the bounds of its rigid far pairs i < j
+    and the (zeta, pair) rows, cols and values V_il V_jl of the weights, by
+    (block size, block, l or i, j); the indices of its coupled blocks."""
     at, region, rows, cols, vals = _restrict_family(union, family)
     kw, mu2, vecs = union.kw[at], union.mu2[at], union.index.vectors[at]
     rest = (union.diag - (union.mu2 - union.kw**2))[at]
@@ -496,10 +491,18 @@ def _family_blocks(union: _Entries, family: Sequence[RegionSpec],
     block_region, block_of_entry = region[order[start]], labels[rows]
     rigid = np.minimum.reduceat(kw[order], start) \
         == np.maximum.reduceat(kw[order], start)
-    reach = _cross_reach(np.minimum.reduceat(vecs[order], start),
-                         np.maximum.reduceat(vecs[order], start),
-                         block_region, len(family))
-    cross = np.where(reach >= min_dist, np.exp(-rate_req * reach), np.inf)
+    if rate_req >= 0.0:
+        reach = _cross_reach(np.minimum.reduceat(vecs[order], start),
+                             np.maximum.reduceat(vecs[order], start),
+                             block_region, len(family))
+        cross = np.where(reach >= min_dist, np.exp(-rate_req * reach), np.inf)
+    else:  # exp(-gamma' D) grows with D: the nearest far cross pair sets it
+        cross = np.empty(len(family))
+        for r in range(len(family)):
+            nodes = np.flatnonzero(region == r)
+            dists = _pair_distances(vecs[nodes]).astype(float)
+            dists[labels[nodes, None] == labels[nodes]] = np.inf
+            cross[r] = np.exp(-rate_req * dists[dists >= min_dist].min())
 
     def rigid_stack(blk, s):
         # blocks blk of size s: their rows (the l-th holds zeta_l); per far
@@ -572,23 +575,23 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     grid this tool runs).
 
     The scan runs once per family: the regions' entries, restricted from
-    one assembly on the union of the family's sites, are laid side by side
-    and one min-label propagation splits them into every region's connected
-    blocks.  Sigma enters H only on the diagonal, as -(sigma + k.omega)^2,
-    so the inverse vanishes between blocks at every sigma.  A block on one
-    k.omega (every block when eps = delta = 0) is rigid: the eigenpairs of
-    its sigma = -k.omega matrix, from one eigh per block size and chunk of at
-    most BATCH_BYTES, give its eigenvalues and far-pair Green's entries on
-    the whole grid.  A coupled block gets one eigvalsh per chunk of sigmas
-    and distinct site set and, with far pairs, one inv per chunk and region
-    over the sigmas where the region passes the norm checks.  Per sigma and
-    region, min and max |eig| over its blocks feed the singular guard.  Far
-    pairs across blocks have G = 0 and enter as exp(-gamma' D), D >= M^rho3
-    the largest sup distance between two blocks (least when gamma' >= 0).
+    one assembly on the family's union, lie side by side, and one min-label
+    propagation splits them into every region's connected blocks.  Sigma
+    enters H only on the diagonal, as -(sigma + k.omega)^2, so the inverse
+    vanishes between blocks.  A block on one k.omega (every block when
+    eps = delta = 0) is rigid: the eigenpairs of its sigma = -k.omega
+    matrix, from one eigh per block size and BATCH_BYTES chunk, give its
+    eigenvalues and far-pair Green's entries on the whole grid.  A coupled
+    block gets one eigvalsh per sigma chunk and distinct site set and, with
+    far pairs, one inv per chunk and region over the sigmas where the region
+    passes the norm checks.  Min and max |eig| over a region's blocks feed
+    the singular guard.  Far pairs across blocks have G = 0 and enter as
+    exp(-gamma' D): in closed form for gamma' >= 0, D >= M^rho3 the largest
+    sup distance between two blocks' bounding boxes; for gamma' < 0, D the
+    least far cross-block distance, from the region's pair distances.
     """
-    resonant = params.resonant_set()
-    family = elementary_region_family(M, params.b, params.d, resonant,
-                                      max_regions)
+    family = elementary_region_family(M, params.b, params.d,
+                                      params.resonant_set(), max_regions)
     subsampled = len(family) >= max_regions
     largest = max(len(region.vectors()) for region in family)
     if 8 * largest**2 > REGION_BYTES:
@@ -596,17 +599,16 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
             f"an LDE scan region of {largest} sites is above the "
             f"{math.isqrt(REGION_BYTES // 8)}-site cap of REGION_BYTES")
     if sigma_grid is None:
-        lo, hi = default_sigma_window(M, params, omega)
-        sigma_grid = np.linspace(lo, hi, num_sigma)
+        sigma_grid = np.linspace(*default_sigma_window(M, params, omega),
+                                 num_sigma)
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     window = (float(sigma_grid.min()), float(sigma_grid.max()))
 
     norm_bound, rate_req, min_dist = thresholds.bounds(params.gamma, float(M))
 
-    n_sigma = len(sigma_grid)
-    bad = np.zeros(n_sigma, dtype=bool)
-    worst_norm = np.zeros(n_sigma)
-    worst_decay = np.full(n_sigma, np.inf)
+    worst_norm = np.zeros(len(sigma_grid))
+    worst_decay = np.full(len(sigma_grid), np.inf)
+    bad = np.zeros(len(sigma_grid), dtype=bool)
     union = _entries_on(RegionIndex(_family_vectors(family), params.b), 0.0,
                         omega, params, kernel)
     blocks, regions = _family_blocks(union, family, rate_req, min_dist)
@@ -640,7 +642,6 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
         bad |= ~ok | (margin < 0.0)
 
     frac = float(bad.mean())
-    length = window[1] - window[0]
     # runs of bad flags start and end where the padded flags change
     edges = np.flatnonzero(np.diff(np.concatenate([[False], bad, [False]])))
     intervals = [(float(sigma_grid[a]), float(sigma_grid[z - 1]))
@@ -653,7 +654,7 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
         worst_norm=worst_norm,
         worst_decay_margin=worst_decay,
         bad_fraction=frac,
-        bad_measure=frac * length,
+        bad_measure=frac * (window[1] - window[0]),
         window=window,
         comparison_value=math.exp(-float(M) ** thresholds.rho1),
         bad_intervals=tuple(intervals),

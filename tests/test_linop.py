@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -304,12 +304,20 @@ class TestLdeScan:
                                       (0.05, 0.05)]),
            max_regions=st.sampled_from([linop.MAX_FAMILY_REGIONS, 5]),
            # rho3 = 1: far pairs start exactly at the integer distance M
-           thresholds=st.sampled_from([Thresholds(), Thresholds(rho3=1.0)]))
+           thresholds=st.sampled_from([Thresholds(), Thresholds(rho3=1.0)]),
+           # gamma = 0.3 < M^-0.2: gamma' < 0, the cross bound grows with D
+           gamma=st.sampled_from([1.0, 0.3]))
+    # gamma' < 0 at M = 8, where the nearest and the farthest far cross
+    # pairs differ; with single-site blocks the cross bound sets the margin
+    @example(theta0=0.5, m=2.5, shape=(1, 1, 8), couplings=(0.0, 0.0),
+             max_regions=linop.MAX_FAMILY_REGIONS, thresholds=Thresholds(),
+             gamma=0.3)
     def test_family_scan_is_bitwise_the_region_by_region_scan(
-            self, theta0, m, shape, couplings, max_regions, thresholds):
+            self, theta0, m, shape, couplings, max_regions, thresholds, gamma):
         b, d, M = shape
         eps, delta = couplings
-        p = dataclasses.replace(golden_params(b=b, d=d, eps=eps, delta=delta),
+        p = dataclasses.replace(golden_params(b=b, d=d, eps=eps, delta=delta,
+                                              gamma=gamma),
                                 theta0=theta0, m=m)
         om = tuple(float(w) for w in omega0(p))
         kernel = linearize(initial_field(p), p.p) if delta else None
