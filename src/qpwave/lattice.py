@@ -8,6 +8,15 @@ sites to matrix rows: boxes and region members as int arrays of vectors
 (k | n) in lexicographic order (``box_vectors``, ``RegionSpec.vectors``), the
 row index of a region (``index_map``: a ``RegionIndex`` looks whole arrays of
 vectors up at once) and the l1 neighbour offsets (``neighbor_offsets``).
+
+Geometry is computed once and kept with what it describes: a region keeps
+its member vectors and its ``RegionIndex`` (``index_map`` builds it on the
+first call), and an index keeps the assembly pattern of an operator on its
+rows, which depends on the vectors alone (``RegionIndex.distinct``, the
+distinct k and n parts, and ``RegionIndex.pairs``, the (row, col) pairs of
+an offset stencil).  The values placed on the pattern (k.omega, mu_n^2 and
+the couplings) are recomputed by every call in ``linop``.  Every kept array
+is read-only.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from .errors import EmptyRegion, InvalidAnchors, OutOfRegion, RegionTooLarge
 # Regions whose bounding box holds more candidate sites than this are
 # refused: vectors() materializes every candidate as an array row first.
 MATERIALIZE_LIMIT = 10**7
+# stencil patterns one RegionIndex keeps; past it the oldest is dropped
+PATTERN_LIMIT = 64
 
 
 def box_vectors(center: Sequence[int], half_widths: Sequence[int]) -> np.ndarray:
@@ -204,19 +215,41 @@ def region_members(spec: RegionSpec) -> tuple:
     return mem
 
 
+def distinct_rows(rows: np.ndarray) -> tuple:
+    """The distinct rows of an int array, in lexicographic order as lists of
+    Python ints, and each row's place among them (an int array)."""
+    lo = rows.min(axis=0)
+    code = np.ravel_multi_index((rows - lo).T, rows.max(axis=0) - lo + 1)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return rows[first].tolist(), inverse
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class RegionIndex:
     """Row numbers 0..N-1 of N distinct vectors (k | n), in the order given,
     kept in an int array over their bounding box so that whole arrays of
-    vectors are looked up at once; ``b`` splits a vector into k and n."""
+    vectors are looked up at once; ``b`` splits a vector into k and n.  The
+    index keeps the parts of an assembly that depend on its vectors alone
+    (``distinct``, ``pairs``)."""
 
     def __init__(self, vectors, b: int):
-        self.vectors = np.asarray(vectors, dtype=int)
+        vectors = np.asarray(vectors, dtype=int)
+        # the caller's array is copied rather than made read-only
+        self.vectors = vectors.copy() if vectors.flags.writeable else vectors
         self.b = b
         self._lo = self.vectors.min(axis=0)
         self._shape = self.vectors.max(axis=0) - self._lo + 1
         self._table = np.full(tuple(self._shape), -1, dtype=np.intp)
         self._table[tuple((self.vectors - self._lo).T)] = \
             np.arange(len(self.vectors))
+        _read_only(self.vectors, self._lo, self._shape, self._table)
+        self._distinct = {}
+        self._pairs = {}
 
     @property
     def size(self) -> int:
@@ -235,6 +268,35 @@ class RegionIndex:
         out[inside] = self._table[tuple(rel[inside].T)]
         return out
 
+    def distinct(self, part: str) -> tuple:
+        """The distinct k (``part`` "k") or n ("n") parts of the vectors, in
+        lexicographic order as lists of Python ints, and each vector's place
+        among them (an int array); computed once per part."""
+        hit = self._distinct.get(part)
+        if hit is None:
+            cols = slice(0, self.b) if part == "k" else slice(self.b, None)
+            firsts, inverse = distinct_rows(self.vectors[:, cols])
+            inverse.flags.writeable = False
+            hit = self._distinct[part] = (firsts, inverse)
+        return hit
+
+    def pairs(self, n, offsets: np.ndarray) -> tuple:
+        """The stencil ``offsets`` (int rows (k | n)) on the rows whose n part
+        is ``n`` (every row for None): (i, j, e) for each row i and offset
+        e with row j at vector i + offsets[e], e-major.  Computed once per
+        (n, offsets); at most PATTERN_LIMIT are kept."""
+        key = (n, offsets.shape, offsets.tobytes())
+        hit = self._pairs.get(key)
+        if hit is None:
+            i = np.arange(self.size) if n is None else np.flatnonzero(
+                (self.vectors[:, self.b:] == n).all(axis=1))
+            j = self.lookup(self.vectors[i][None, :, :] + offsets[:, None, :])
+            e, at = np.nonzero(j >= 0)
+            if len(self._pairs) >= PATTERN_LIMIT:
+                del self._pairs[next(iter(self._pairs))]
+            hit = self._pairs[key] = _read_only(i[at], j[e, at], e)
+        return hit
+
     def get(self, site) -> Optional[int]:
         i = int(self.lookup([tuple(site[0]) + tuple(site[1])])[0])
         return i if i >= 0 else None
@@ -252,7 +314,12 @@ class RegionIndex:
 
 
 def index_map(spec: RegionSpec) -> RegionIndex:
-    """The row index of a region's members; raises EmptyRegion when empty."""
-    if not spec.size():
-        raise EmptyRegion(f"region {spec} has no member sites")
-    return RegionIndex(spec.vectors(), spec.b)
+    """The row index of a region's members, built on the first call and kept
+    on the region; raises EmptyRegion when empty."""
+    cached = getattr(spec, "_index", None)
+    if cached is None:
+        if not spec.size():
+            raise EmptyRegion(f"region {spec} has no member sites")
+        cached = RegionIndex(spec.vectors(), spec.b)
+        object.__setattr__(spec, "_index", cached)
+    return cached

@@ -14,11 +14,21 @@ against exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
 Scans over the spectral shift mark each grid sigma good or bad on a family
 of translated elementary regions, all split into blocks at once from one
 assembly on their union; bad fractions are compared with exp(-M^rho1).
+
+What depends only on (M, b, d, resonant set, region cap) is computed once:
+``elementary_region_family`` keeps the last FAMILY_MEMO families with the
+index of their union, each region keeps its ``index_map`` and each index
+keeps its assembly pattern (``RegionIndex.distinct`` and ``pairs``).  Every
+call to ``_entries_on`` (so ``assemble``, ``green`` and ``lde_scan``)
+recomputes k.omega, mu_n^2 and the entry values from sigma, omega, the
+model and the kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -29,7 +39,7 @@ import scipy.sparse as sp
 from .errors import (ComplementSingular, RegionTooLarge, Singular, cast_number,
                      check_ranges)
 from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, box_vectors,
-                      index_map, neighbor_offsets)
+                      distinct_rows, index_map, neighbor_offsets)
 from .nonlin import CoefficientField
 from .spectrum import ModelParams, mu
 
@@ -37,6 +47,8 @@ MAX_CONDITION = 1e14  # above this condition estimate a P-step box is resonant
 SINGULARITY_RTOL = 1.0 / MAX_CONDITION
 DECAY_FIT_FLOOR = 1e-30    # smaller magnitudes are left out of a decay fit
 MAX_FAMILY_REGIONS = 64
+# region families kept by elementary_region_family, least recently used out
+FAMILY_MEMO = 8
 # bytes of one stack of coupled-block matrices in the LDE scan
 BATCH_BYTES = 1 << 20
 # caps an LDE scan region at n sites with 8 n^2 <= REGION_BYTES (1448 sites)
@@ -84,13 +96,12 @@ class OperatorSpec:
     kernel: Optional[CoefficientField] = None
 
 
-def _per_distinct(rows: np.ndarray, fn) -> np.ndarray:
+def _on_distinct(distinct: tuple, fn) -> np.ndarray:
     """fn(row) for every row of an int array, evaluated once per distinct
-    row (on a list of Python ints) and broadcast back to the rows."""
-    lo = rows.min(axis=0)
-    code = np.ravel_multi_index((rows - lo).T, rows.max(axis=0) - lo + 1)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    return np.array([fn(r) for r in rows[first].tolist()], dtype=float)[inverse]
+    row (on a list of Python ints) and broadcast back to the rows; takes
+    the rows' ``lattice.distinct_rows``."""
+    firsts, inverse = distinct
+    return np.array([fn(r) for r in firsts], dtype=float)[inverse]
 
 
 class _Entries(NamedTuple):
@@ -113,37 +124,33 @@ def _entries_on(idx: RegionIndex, sigma: float, omega: Sequence[float],
     so every entry has the bits of the site-by-site formula.  No (row, col)
     pair occurs twice."""
     b, d = params.b, params.d
-    vecs = idx.vectors
     omega = np.asarray(omega, dtype=float)
-    kw = _per_distinct(vecs[:, :b], lambda k: float(np.dot(k, omega)))
-    mu2 = _per_distinct(vecs[:, b:], lambda n: mu(n, params) ** 2)
+    kw = _on_distinct(idx.distinct("k"), lambda k: float(np.dot(k, omega)))
+    mu2 = _on_distinct(idx.distinct("n"), lambda n: mu(n, params) ** 2)
     shift = sigma + kw
     diag = mu2 - shift * shift
 
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
-
-    def couple(i, offsets, values):
-        # values[e] at (i, the row of vector i + offsets[e]) where it exists
-        j = idx.lookup(vecs[i][None, :, :] + offsets[:, None, :])
-        e, at = np.nonzero(j >= 0)
-        rows.append(i[at])
-        cols.append(j[e, at])
-        vals.append(values[e])
-
     if params.eps != 0.0:
         offs = np.zeros((2 * d, b + d), dtype=int)
         offs[:, b:] = neighbor_offsets(d)
-        couple(np.arange(idx.size), offs, np.full(2 * d, params.eps))
+        i, j, _ = idx.pairs(None, offs)
+        rows.append(i)
+        cols.append(j)
+        vals.append(np.full(len(i), params.eps))
     slices = kernel.by_site() if kernel is not None else {}
     for n, sl in slices.items():
-        i = np.flatnonzero((vecs[:, b:] == n).all(axis=1))
         offs = np.zeros((len(sl), b + d), dtype=int)
         offs[:, :b] = -np.array(list(sl)).reshape(len(sl), b)
-        v = np.array(list(sl.values()), dtype=float)
-        zero = ~offs.any(axis=1)
-        diag[i] += params.delta * (v[zero][0] if zero.any() else 0.0)
+        v = params.delta * np.array(list(sl.values()), dtype=float)
+        # delta * phi(k - k', n) at (i, j); the k = k' term is diagonal
+        i, j, e = idx.pairs(n, offs)
+        on_diag = i == j
+        diag[i[on_diag]] += v[e[on_diag]]
         if params.delta != 0.0:
-            couple(i, offs[~zero], params.delta * v[~zero])
+            rows.append(i[~on_diag])
+            cols.append(j[~on_diag])
+            vals.append(v[e[~on_diag]])
     return _Entries(idx, mu2, kw, diag, *map(np.concatenate, (rows, cols, vals)))
 
 
@@ -195,8 +202,13 @@ class GreenReport:
 
 
 def _pair_distances(vecs: np.ndarray) -> np.ndarray:
-    """Sup-norm distances between the rows of (stacks of) int arrays."""
-    return np.abs(vecs[..., :, None, :] - vecs[..., None, :, :]).max(axis=-1)
+    """Sup-norm distances between the rows of (stacks of) int arrays, taken
+    one axis at a time."""
+    axes = np.moveaxis(vecs, -1, 0)
+    out = np.zeros(axes.shape[1:] + axes.shape[-1:], dtype=vecs.dtype)
+    for x in axes:
+        np.maximum(out, np.abs(x[..., :, None] - x[..., None, :]), out=out)
+    return out
 
 
 def _is_singular(smallest, largest):
@@ -287,9 +299,16 @@ def green_matrix(spec: OperatorSpec) -> np.ndarray:
 # elementary-region families and the LDE scan
 # ---------------------------------------------------------------------------
 
+class _Family(NamedTuple):
+    """A region family and the index of its union: the distinct member
+    vectors of its regions, in lexicographic order."""
+    regions: tuple
+    union: RegionIndex
+
+
 def elementary_region_family(M: int, b: int, d: int,
                              excluded: Optional[ResonantSet] = None,
-                             max_regions: int = MAX_FAMILY_REGIONS) -> list:
+                             max_regions: int = MAX_FAMILY_REGIONS) -> tuple:
     """Subsampled family of translated elementary regions of scale M.
 
     Base rectangles have half-width w = M//2 (even M gives diameter exactly
@@ -297,7 +316,18 @@ def elementary_region_family(M: int, b: int, d: int,
     and space translations over 0, +-M, +-2M along each axis (the |n| <= 2M
     translation range).  Duplicate member sets are removed and the family is
     truncated to ``max_regions``; the truncation is part of the scan report.
+    The family is built once per (M, b, d, excluded, max_regions) and kept,
+    its regions with their member vectors and row indices, so every call
+    with the same key returns the same regions.
     """
+    return _region_family(M, b, d, excluded, max_regions).regions
+
+
+@functools.lru_cache(maxsize=FAMILY_MEMO)
+def _region_family(M: int, b: int, d: int, excluded: Optional[ResonantSet],
+                   max_regions: int) -> _Family:
+    """``elementary_region_family`` and its union, memoized; RegionTooLarge
+    and ValueError are raised again by every call."""
     if M < 2:
         raise ValueError(f"scale M must be >= 2, got {M}")
     w = M // 2
@@ -314,18 +344,16 @@ def elementary_region_family(M: int, b: int, d: int,
             translations.append(tuple(mag if i == axis else 0 for i in range(d)))
 
     family, seen = [], set()
-    for tn in translations:
-        center = Site((0,) * b, tn)
-        for z in shifts:
-            spec = RegionSpec(center, (w,) * dim, z, b, d, excluded)
-            key = spec.vectors().tobytes()      # b"" for an empty region
-            if not key or key in seen:
-                continue
-            seen.add(key)
-            family.append(spec)
-            if len(family) >= max_regions:
-                return family
-    return family
+    for tn, z in itertools.product(translations, shifts):
+        spec = RegionSpec(Site((0,) * b, tn), (w,) * dim, z, b, d, excluded)
+        key = spec.vectors().tobytes()      # b"" for an empty region
+        if not key or key in seen:
+            continue
+        seen.add(key)
+        family.append(spec)
+        if len(family) >= max_regions:
+            break
+    return _Family(tuple(family), RegionIndex(_family_vectors(family), b))
 
 
 def _family_vectors(family: Sequence[RegionSpec]) -> np.ndarray:
@@ -465,6 +493,16 @@ class _CoupledBlock:
             + self.rest
         return a
 
+    def margin(self, sigma_grid: np.ndarray, where: np.ndarray) -> np.ndarray:
+        """Per sigma, min of decay_bound - |G| over the far pairs, from one
+        inv per chunk of the sigmas ``where`` holds; inf at the others."""
+        out = np.full(len(sigma_grid), np.inf)
+        at = np.flatnonzero(where) if self.far.any() else np.zeros(0, int)
+        for sl in _chunks(len(at), len(self.kw)):
+            g = np.linalg.inv(self.at(sigma_grid[at[sl]]))[:, self.far]
+            out[at[sl]] = (self.decay_bound - np.abs(g)).min(axis=1)
+        return out
+
     def extent(self, sigma_grid: np.ndarray) -> tuple:
         """Per sigma, min and max |eigenvalue|, one eigvalsh per chunk."""
         lo, hi = np.empty(len(sigma_grid)), np.empty(len(sigma_grid))
@@ -583,15 +621,15 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     matrix, from one eigh per block size and BATCH_BYTES chunk, give its
     eigenvalues and far-pair Green's entries on the whole grid.  A coupled
     block gets one eigvalsh per sigma chunk and distinct site set and, with
-    far pairs, one inv per chunk and region over the sigmas where the region
-    passes the norm checks.  Min and max |eig| over a region's blocks feed
-    the singular guard.  Far pairs across blocks have G = 0 and enter as
+    far pairs, one inv per sigma where any region holding it passes the
+    norm checks (a region that fails them is bad whatever its G is).  Min
+    and max |eig| over a region's blocks feed the singular guard.  Far pairs across blocks have G = 0 and enter as
     exp(-gamma' D): in closed form for gamma' >= 0, D >= M^rho3 the largest
     sup distance between two blocks' bounding boxes; for gamma' < 0, D the
     least far cross-block distance, from the region's pair distances.
     """
-    family = elementary_region_family(M, params.b, params.d,
-                                      params.resonant_set(), max_regions)
+    family, union = _region_family(M, params.b, params.d,
+                                   params.resonant_set(), max_regions)
     subsampled = len(family) >= max_regions
     largest = max(len(region.vectors()) for region in family)
     if 8 * largest**2 > REGION_BYTES:
@@ -609,10 +647,11 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     worst_norm = np.zeros(len(sigma_grid))
     worst_decay = np.full(len(sigma_grid), np.inf)
     bad = np.zeros(len(sigma_grid), dtype=bool)
-    union = _entries_on(RegionIndex(_family_vectors(family), params.b), 0.0,
-                        omega, params, kernel)
-    blocks, regions = _family_blocks(union, family, rate_req, min_dist)
+    blocks, regions = _family_blocks(
+        _entries_on(union, 0.0, omega, params, kernel), family, rate_req,
+        min_dist)
     extents = [block.extent(sigma_grid) for block in blocks]
+    scanned = []
     for cross, zeta, zeta_kw, bound, w_rows, w_cols, w_val, coupled in regions:
         eig = zeta - (sigma_grid[:, None] + zeta_kw) ** 2
         abs_eig = np.abs(eig)
@@ -630,13 +669,18 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.abs((1.0 / eig) @ weights)
         margin = np.minimum(cross, (bound - g).min(axis=1, initial=np.inf))
-        passing = np.flatnonzero(ok)
-        for block in (blocks[c] for c in coupled if blocks[c].far.any()):
-            for sl in _chunks(len(passing), len(block.kw)):
-                isg = passing[sl]
-                g = np.linalg.inv(block.at(sigma_grid[isg]))[:, block.far]
-                margin[isg] = np.minimum(margin[isg], (
-                    block.decay_bound - np.abs(g)).min(axis=1))
+        scanned.append((norm, ok, margin, coupled))
+
+    # a coupled block is inverted once per sigma where a region holding it
+    # passes the norm checks; elsewhere its regions are bad whatever G is
+    passing = np.zeros((len(blocks), len(sigma_grid)), dtype=bool)
+    for _, ok, _, coupled in scanned:
+        passing[coupled] |= ok
+    block_margins = [block.margin(sigma_grid, at)
+                     for block, at in zip(blocks, passing)]
+    for norm, ok, margin, coupled in scanned:
+        for c in coupled:
+            margin = np.minimum(margin, block_margins[c])
         worst_norm = np.maximum(worst_norm, norm)
         worst_decay = np.where(ok, np.minimum(worst_decay, margin), worst_decay)
         bad |= ~ok | (margin < 0.0)
@@ -673,13 +717,12 @@ def diagonal_bad_intervals(M: int, params: ModelParams,
     default rho2), i.e. |sigma + k.omega| lies in [sqrt(mu^2 - t),
     sqrt(mu^2 + t)].  Returns merged intervals.
     """
-    family = elementary_region_family(M, params.b, params.d,
-                                      params.resonant_set())
+    union = _region_family(M, params.b, params.d, params.resonant_set(),
+                           MAX_FAMILY_REGIONS).union
     t = math.exp(-float(M) ** Thresholds().rho2)
-    vecs = _family_vectors(family)
     omega = np.asarray(omega, dtype=float)
-    kw = _per_distinct(vecs[:, :params.b], lambda k: float(np.dot(k, omega)))
-    m2 = _per_distinct(vecs[:, params.b:], lambda n: mu(n, params) ** 2)
+    kw = _on_distinct(union.distinct("k"), lambda k: float(np.dot(k, omega)))
+    m2 = _on_distinct(union.distinct("n"), lambda n: mu(n, params) ** 2)
     lo, hi = np.sqrt(np.maximum(m2 - t, 0.0)), np.sqrt(m2 + t)
     # |sigma + kw| in [lo, hi]
     raw = sorted(zip(np.concatenate([lo - kw, -hi - kw]).tolist(),
@@ -792,7 +835,8 @@ def block_spectral_bound(k: Sequence[int], space_sites: Sequence,
     """
     rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
     block = _space_block(rows, params.eps,
-                         _per_distinct(rows, lambda n: mu(n, params) ** 2))
+                         _on_distinct(distinct_rows(rows),
+                                      lambda n: mu(n, params) ** 2))
     zetas = np.linalg.eigvalsh(block)
     shift = float(sigma + np.dot(k, np.asarray(omega, dtype=float)))
     full = block - shift**2 * np.eye(len(block))

@@ -233,14 +233,22 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
     # directions cannot affect an even solve, so the guard measures exactly
     # the operator that is factored.  t = 1 starts from the all-ones column
     # only; t >= 2 draws further start columns from the global np.random,
-    # which would make the gate depend on global RNG state.
+    # which would make the gate depend on global RNG state.  A tiny pivot
+    # can overflow A^-1 x to inf and the estimate's sign step to NaN while
+    # the estimate it returns stays finite, so an overflow or NaN in the
+    # estimate is an infinite condition.
     inverse = spla.LinearOperator(matrix.shape, matvec=lu.solve, dtype=float,
                                   rmatvec=lambda v: lu.solve(v, trans="T"))
-    inv_norm, w = spla.onenormest(inverse, t=1, compute_w=True)
-    cond = float(inv_norm * spla.norm(matrix, 1))
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            inv_norm, w = spla.onenormest(inverse, t=1, compute_w=True)
+            cond = float(inv_norm * spla.norm(matrix, 1))
+    except FloatingPointError:
+        cond = math.inf
+    cond = cond if np.isfinite(cond) else math.inf
+    if cond > MAX_CONDITION:
         worst = (idx.site_of(int(canon[np.argmax(np.abs(w))]))
-                 if np.isfinite(cond) else None)
+                 if cond < math.inf else None)
         raise ResonantBox(
             f"stage {stage} box (radius {box}) is resonant: condition estimate "
             f"{cond:.3e} at site {worst}", stage=stage, condition=cond,

@@ -671,18 +671,20 @@ def cluster_scan(params: ModelParams, L: int, eta: float, sigma_grid) -> tuple:
     ahead of xi = -1).  The count at sigma is the number of resonance centres
     -(k.w0 + mu_n) (xi = +1) or mu_n - k.w0 (xi = -1) strictly inside
     (sigma - eta/2, sigma + eta/2): two binary searches in the sorted
-    centres."""
+    centres.  The k-box is symmetric, so the xi = -1 centres are the xi = +1
+    centres negated: one sorted array serves both, searched at (-hi, -lo)
+    for xi = -1."""
     sigma_grid = np.atleast_1d(np.asarray(sigma_grid, dtype=float))
     space = box_vectors((0,) * params.d, (L,) * params.d)
     mus = _mu_array(space.astype(float), params, np.array([params.m]))[:, 0]
     kw = box_vectors((0,) * params.b, (L,) * params.b).astype(float) \
         @ omega0(params)
+    centres = np.sort(-(kw[:, None] + mus), axis=None)
     lo, hi = sigma_grid - eta / 2.0, sigma_grid + eta / 2.0
     best = (0, float(sigma_grid[0]))
-    for centres in (-(kw[:, None] + mus), mus - kw[:, None]):
-        centres = np.sort(centres, axis=None)
-        counts = (np.searchsorted(centres, hi, "left")
-                  - np.searchsorted(centres, lo, "right"))
+    for a, z in ((lo, hi), (-hi, -lo)):
+        counts = (np.searchsorted(centres, z, "left")
+                  - np.searchsorted(centres, a, "right"))
         i = int(np.argmax(counts))
         if counts[i] > best[0]:
             best = (int(counts[i]), float(sigma_grid[i]))

@@ -2,12 +2,19 @@ import math
 
 import pytest
 
-from qpwave import ModelParams
+from qpwave import ModelParams, linop
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 PRESET_THETA0 = 0.3455
 # per space axis; (g, g) would not be Diophantine: n = (1, -1) gives n.alpha = 0
 GOLDEN_ALPHA = (GOLDEN_MEAN, math.sqrt(2.0) - 1.0)
+
+
+@pytest.fixture(autouse=True)
+def cold_family_memo():
+    """Every test starts with no region family kept, so that no outcome
+    depends on which tests ran before it."""
+    linop._region_family.cache_clear()
 
 
 def golden_params(b=1, d=1, p=2, m=2.5, eps=1e-3, delta=1e-3, anchors=None,

@@ -9,6 +9,9 @@ block structure is used.
 restricted from the union assembly on its own, labelled on its own, and its
 far pairs, decay bounds and cross-block bound come from n x n arrays.  The
 family-wide scan must reproduce its outputs bit for bit.
+
+``pair_distances`` is the broadcast form of ``linop._pair_distances``: one
+(n, n, b+d) array of coordinate differences.
 """
 
 import math
@@ -19,11 +22,16 @@ import numpy as np
 from qpwave.lattice import RegionIndex, index_map
 from qpwave.linop import (MAX_FAMILY_REGIONS, SINGULARITY_RTOL, OperatorSpec,
                           Thresholds, _components, _Entries, _entries_on,
-                          _family_vectors, _is_singular, _pair_distances,
-                          assemble, elementary_region_family)
+                          _family_vectors, _is_singular, assemble,
+                          elementary_region_family)
 from qpwave.spectrum import mu
 
 BATCH_BYTES = 1 << 20
+
+
+def pair_distances(vecs):
+    """Sup-norm distances between the rows of (stacks of) int arrays."""
+    return np.abs(vecs[..., :, None, :] - vecs[..., None, :, :]).max(axis=-1)
 
 
 def reference_lde_scan(M, params, omega, kernel, sigma_grid,
@@ -47,7 +55,7 @@ def reference_lde_scan(M, params, omega, kernel, sigma_grid,
         mu2 = np.array([mu(s.n, params) ** 2 for s in sites])
         base_offdiag = base - np.diag(np.diag(base))
         diag_rest = np.diag(base) - (mu2 - kw**2)
-        dists = _pair_distances(np.array([s.vector for s in sites]))
+        dists = pair_distances(np.array([s.vector for s in sites]))
         far = dists >= min_dist
         np.fill_diagonal(far, False)
         decay_bound = np.exp(-rate_req * dists)
@@ -162,7 +170,7 @@ def _scan_region(ent, rate_req, min_dist):
     offdiag = np.zeros((n, n))
     offdiag[ent.rows, ent.cols] += ent.vals
     rest = ent.diag - (mu2 - kw**2)
-    dists = _pair_distances(ent.index.vectors)
+    dists = pair_distances(ent.index.vectors)
     far = dists >= min_dist
     np.fill_diagonal(far, False)
     decay_bound = np.exp(-rate_req * dists)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from qpwave import linop
+from qpwave import lattice, linop
 from qpwave import (CoefficientField, ComplementSingular,
-                    OperatorSpec, Singular, Thresholds, assemble,
+                    OperatorSpec, RegionTooLarge, Singular, Thresholds, assemble,
                     assemble_sparse, block_spectral_bound, cube, green,
                     green_matrix, lde_scan, linearize, mu, omega0,
                     qp_schrodinger_green, schur_complement)
@@ -23,7 +23,8 @@ from qpwave.solver import initial_field
 
 from assembly_reference import reference_assemble, reference_assemble_sparse
 from conftest import golden_params
-from lde_reference import reference_block_scan, reference_lde_scan
+from lde_reference import (pair_distances, reference_block_scan,
+                           reference_lde_scan)
 
 
 def op_spec(params, region=None, sigma=0.37, kernel=None, omega=None):
@@ -425,6 +426,133 @@ class TestLdeScan:
         lo, hi = default_sigma_window(8, params, om)
         worst = 4 * abs(om[0]) + mu((0,), params)
         assert lo < -worst and hi > worst
+
+
+class TestGeometryMemo:
+    """The family is kept per key, the index per region and the assembly
+    pattern per index; what is computed from them must not change."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.integers(1, 2), d=st.integers(1, 2),
+           use_excluded=st.booleans(),
+           draws=st.lists(st.tuples(
+               st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.floats(2.0, 3.0),
+               st.sampled_from([0.0, 0.05]), st.sampled_from([0.0, 0.03]),
+               st.one_of(st.none(), st.integers(0, 2**32 - 1))),
+               min_size=2, max_size=6))
+    def test_entries_on_a_reused_index_are_those_of_a_fresh_one(
+            self, b, d, use_excluded, draws):
+        # one index through every draw; kernels of different support meet
+        # the patterns that the kernels before them left on it
+        p0 = golden_params(b=b, d=d)
+        region = cube(2, b, d, p0.resonant_set() if use_excluded else None)
+        reused = index_map(region)
+        for sigma, theta0, m, eps, delta, seed in draws:
+            p = dataclasses.replace(p0, theta0=theta0, m=m, eps=eps,
+                                    delta=delta)
+            om = tuple(float(w) for w in omega0(p))
+            kernel = None if seed is None else random_lattice_kernel(seed, b, d)
+            got = linop._entries_on(reused, sigma, om, p, kernel)
+            want = linop._entries_on(RegionIndex(region.vectors(), b), sigma,
+                                     om, p, kernel)
+            for name, a, z in zip(got._fields[1:], got[1:], want[1:]):
+                assert a.tobytes() == z.tobytes(), name
+        assert index_map(region) is reused
+
+    def test_patterns_past_the_limit_are_rebuilt(self, monkeypatch):
+        monkeypatch.setattr(lattice, "PATTERN_LIMIT", 1)
+        p = golden_params(b=2, d=1, eps=0.05, delta=0.03)
+        om = tuple(float(w) for w in omega0(p))
+        region = cube(2, 2, 1)
+        reused = index_map(region)
+        for seed in (1, 2, 1, 3, 2):
+            kernel = random_lattice_kernel(seed, 2, 1)
+            got = linop._entries_on(reused, 0.3, om, p, kernel)
+            want = linop._entries_on(RegionIndex(region.vectors(), 2), 0.3,
+                                     om, p, kernel)
+            assert len(reused._pairs) == 1
+            for a, z in zip(got[1:], want[1:]):
+                assert a.tobytes() == z.tobytes()
+
+    def test_kept_arrays_are_read_only(self):
+        p = golden_params(eps=0.05, delta=0.03)
+        om = tuple(float(w) for w in omega0(p))
+        lde_scan(6, p, om, linearize(initial_field(p), p.p), num_sigma=5)
+        for region in elementary_region_family(6, 1, 1, p.resonant_set()):
+            green(OperatorSpec(region, 0.3, om, p, None), scale=6.0)
+            idx = index_map(region)
+            kept = [idx.vectors, idx._table, *(v[1] for v in
+                                                 idx._distinct.values())]
+            kept += [a for pattern in idx._pairs.values() for a in pattern]
+            assert len(kept) > 2 and not any(a.flags.writeable for a in kept)
+
+    @pytest.mark.parametrize("b, d, M", [(1, 1, 8), (2, 1, 4), (1, 2, 4)])
+    def test_scan_is_bitwise_the_same_with_a_cold_and_a_warm_memo(self, b, d,
+                                                                  M):
+        def scan(theta0, m):
+            p = dataclasses.replace(golden_params(b=b, d=d), theta0=theta0,
+                                    m=m)
+            om = tuple(float(w) for w in omega0(p))
+            return lde_scan(M, p, om, linearize(initial_field(p), p.p),
+                            num_sigma=21)
+
+        linop._region_family.cache_clear()
+        cold = scan(0.6, 2.7)
+        scan(0.2, 2.2)
+        hits = linop._region_family.cache_info().hits
+        warm = scan(0.6, 2.7)
+        assert linop._region_family.cache_info().hits == hits + 1
+        for name in ("bad_flags", "worst_norm", "worst_decay_margin"):
+            assert getattr(warm, name).tobytes() == \
+                getattr(cold, name).tobytes(), name
+
+    def test_four_and_five_argument_calls_share_the_family(self):
+        p = golden_params()
+        family = elementary_region_family(6, 1, 1, p.resonant_set())
+        assert elementary_region_family(
+            6, 1, 1, p.resonant_set(), linop.MAX_FAMILY_REGIONS) is family
+        assert elementary_region_family(
+            6, 1, 1, excluded=p.resonant_set()) is family
+        assert linop._region_family.cache_info().currsize == 1
+
+    def test_failing_family_raises_on_every_call(self):
+        maxsize = linop._region_family.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 100
+        # 61^4 candidate sites per region: above MATERIALIZE_LIMIT
+        for _ in range(2):
+            with pytest.raises(RegionTooLarge):
+                elementary_region_family(60, 2, 2)
+            with pytest.raises(ValueError):
+                elementary_region_family(1, 1, 1)
+        assert linop._region_family.cache_info().currsize == 0
+
+    def test_each_coupled_block_is_inverted_once_per_sigma(self, monkeypatch):
+        p = golden_params(eps=0.05, delta=0.05)
+        om = tuple(float(w) for w in omega0(p))
+        kernel = linearize(initial_field(p), p.p)
+        inv = np.linalg.inv
+        seen = []
+
+        def recorded(a):
+            seen.extend(m.tobytes() for m in a)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recorded)
+        report = lde_scan(8, p, om, kernel, num_sigma=41)
+        ours = len(seen)
+        reference_block_scan(8, p, om, kernel, report.sigma_grid)
+        # regions share coupled blocks: inverted once, each block and sigma
+        assert 0 < ours == len(set(seen[:ours])) < len(seen) - ours
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 4), stack=st.lists(st.integers(1, 3), max_size=2),
+       n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_pair_distances_is_the_broadcast_reference(dim, stack, n, seed):
+    vecs = np.random.default_rng(seed).integers(-9, 10, size=(*stack, n, dim))
+    got, want = linop._pair_distances(vecs), pair_distances(vecs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

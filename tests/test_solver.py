@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qpwave import (CoefficientField, FrequencyCollapse, InsufficientData,
@@ -147,12 +147,31 @@ class TestPStep:
         assert tuple(map(abs, err.value.site.k)) == (1,)
         assert tuple(map(abs, err.value.site.n)) == (2,)
 
+    def test_overflowing_condition_estimate_is_a_resonant_box(self):
+        # theta0 = 0 gives mu_n = mu_-n: the sites (0, +-1), n = -1 have an
+        # exactly zero diagonal, coupled only through the subnormal eps.  The
+        # LU keeps a 1e-308 pivot, the estimate overflows on its way and
+        # would still return a finite 35.7 without the overflow rule.
+        p = dataclasses.replace(
+            golden_params(b=2, d=1, eps=1.1e-308, delta=3.3e-284), theta0=0.0)
+        q = initial_field(p)
+        om = q_step(q, p)
+        with pytest.raises(ResonantBox) as err:
+            p_step(q, om, residual(q, om, p).field, p, 1, SolverConfig(M=3))
+        assert err.value.stage == 1
+        assert err.value.condition == math.inf
+        assert err.value.site is None
+
     @settings(max_examples=30, deadline=None)
     @given(shape=st.sampled_from([(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1),
                                   (2, 2, 1)]),
            eps=st.floats(0.0, 5e-3), delta=st.floats(0.0, 5e-3),
            theta0=st.floats(0.0, 1.0),
            amplitudes=st.lists(st.floats(1.0, 2.0), min_size=2, max_size=2))
+    # the dense reference meets an exactly zero pivot here (see the test
+    # above): the draw is a ResonantBox, never a comparison against NaN
+    @example(shape=(2, 1, 1), eps=1.1e-308, delta=3.3e-284, theta0=0.0,
+             amplitudes=[1.0, 1.0])
     def test_folded_increment_matches_full_box_reference(
             self, shape, eps, delta, theta0, amplitudes):
         b, d, stage = shape
