@@ -2,13 +2,12 @@
 equations: arithmetic non-resonance certification, Green's-function
 diagnostics and a staged constructive solver."""
 
-from .errors import (ComplementSingular, EmptyRegion, FrequencyCollapse,
-                     InsufficientData, InsufficientResolution, InvalidAnchors,
-                     NonConvergence, NotApplicable, OracleDiverged,
-                     OracleTooLarge, OutOfRegion, PreconditionFailed,
-                     QPWaveError, RegionTooLarge, ResonantBox, Singular)
-from .lattice import (RegionSpec, ResonantSet, Site, cube, index_map,
-                      region_members)
+from .errors import (EmptyRegion, FrequencyCollapse, InsufficientData,
+                     InsufficientResolution, InvalidAnchors, NonConvergence,
+                     NotApplicable, OracleDiverged, OracleTooLarge,
+                     OutOfRegion, PreconditionFailed, QPWaveError,
+                     RegionTooLarge, ResonantBox, Singular)
+from .lattice import RegionSpec, ResonantSet, Site, cube, index_map
 from .spectrum import (AdmissibleMScan, Certificate, FrequencyCombination,
                        ModelParams, SublevelResult, admissible_m_scan,
                        check_alpha_dc, check_theta_dc, cluster_count,
@@ -19,11 +18,8 @@ from .spectrum import (AdmissibleMScan, Certificate, FrequencyCombination,
 from .nonlin import (CoefficientField, ResidualReport, convolve,
                      convolve_power, evaluate_solution, linearize,
                      pde_residual, residual, weighted_tail_norm)
-from .linop import (BlockSpectralReport, GreenReport, LdeScanReport,
-                    OperatorSpec, SchurReport, Thresholds, assemble,
-                    assemble_sparse, block_spectral_bound, green,
-                    green_matrix, lde_scan, qp_schrodinger_green,
-                    schur_complement)
+from .linop import (GreenReport, LdeScanReport, OperatorSpec, Thresholds,
+                    assemble, assemble_sparse, green, green_matrix, lde_scan)
 from .solver import (DecayFit, IterationTrace, OracleResult, Solution,
                      SolverConfig, StageRecord, brute_force_oracle,
                      compare_with_oracle, decay_fit, initial_field, p_step,

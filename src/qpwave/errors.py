@@ -67,10 +67,6 @@ class Singular(QPWaveError):
         self.smallest_singular_value = smallest_singular_value
 
 
-class ComplementSingular(QPWaveError):
-    """The complement block of a Schur reduction is not invertible."""
-
-
 class FrequencyCollapse(QPWaveError):
     """A frequency update produced a nonpositive squared frequency."""
 

@@ -207,14 +207,6 @@ def cube(L: int, b: int, d: int, excluded: Optional[ResonantSet] = None) -> Regi
     return RegionSpec(center, (L,) * dim, (0,) * dim, b, d, excluded)
 
 
-def region_members(spec: RegionSpec) -> tuple:
-    """Deterministic lexicographic enumeration of the member sites."""
-    mem = spec.members()
-    if not mem:
-        raise EmptyRegion(f"region {spec} has no member sites")
-    return mem
-
-
 def distinct_rows(rows: np.ndarray) -> tuple:
     """The distinct rows of an int array, in lexicographic order as lists of
     Python ints, and each row's place among them (an int array)."""

@@ -7,10 +7,10 @@ convolution T_phi coupling equal-n sites through a symmetric kernel phi.
 Its entries are built as arrays over the rows of the region's
 ``lattice.index_map``, whose lookup finds every neighbour and kernel offset
 of an array of sites at once; they are laid out dense (``assemble``, for
-the Green's function diagnostics and the Schur complement) or as CSR
-(``assemble_sparse``, for the solver's P-step).  Green's function reports
-carry the operator norm, a fitted off-diagonal decay rate and pass flags
-against exp(M^rho2) and exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
+the Green's function diagnostics) or as CSR (``assemble_sparse``, for the
+solver's P-step).  Green's function reports carry the operator norm, a
+fitted off-diagonal decay rate and pass flags against exp(M^rho2) and
+exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
 Scans over the spectral shift mark each grid sigma good or bad on a family
 of translated elementary regions, all split into blocks at once from one
 assembly on their union; bad fractions are compared with exp(-M^rho1).
@@ -36,10 +36,10 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (ComplementSingular, RegionTooLarge, Singular, cast_number,
-                     check_ranges)
-from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, box_vectors,
-                      distinct_rows, index_map, neighbor_offsets)
+from .errors import (PreconditionFailed, RegionTooLarge, Singular,
+                     cast_number, check_ranges)
+from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, index_map,
+                      neighbor_offsets)
 from .nonlin import CoefficientField
 from .spectrum import ModelParams, mu
 
@@ -58,7 +58,7 @@ REGION_BYTES = 1 << 24
 @dataclass(frozen=True)
 class Thresholds:
     """Large-deviation exponents, positive and finite; gamma_prime defaults
-    to gamma - M^(-0.2)."""
+    to gamma - M^(-0.2), which ``lde_scan`` requires to be positive too."""
 
     rho1: float = 0.1
     rho2: float = 0.7
@@ -226,12 +226,6 @@ def _eig_extent(matrix: np.ndarray) -> tuple:
         raise Singular(f"matrix numerically singular (min |eig| = {smallest:.3e})",
                        smallest_singular_value=smallest)
     return smallest, largest
-
-
-def _inverse_norm(abs_eig: np.ndarray) -> float:
-    """Reported 1 / min |eigenvalue|: inf at exactly 0, no singular guard."""
-    smallest = float(abs_eig.min())
-    return math.inf if smallest == 0.0 else 1.0 / smallest
 
 
 def _green_report(matrix: np.ndarray, vecs: np.ndarray, scale: float,
@@ -529,18 +523,10 @@ def _family_blocks(union: _Entries, family: Sequence[RegionSpec],
     block_region, block_of_entry = region[order[start]], labels[rows]
     rigid = np.minimum.reduceat(kw[order], start) \
         == np.maximum.reduceat(kw[order], start)
-    if rate_req >= 0.0:
-        reach = _cross_reach(np.minimum.reduceat(vecs[order], start),
-                             np.maximum.reduceat(vecs[order], start),
-                             block_region, len(family))
-        cross = np.where(reach >= min_dist, np.exp(-rate_req * reach), np.inf)
-    else:  # exp(-gamma' D) grows with D: the nearest far cross pair sets it
-        cross = np.empty(len(family))
-        for r in range(len(family)):
-            nodes = np.flatnonzero(region == r)
-            dists = _pair_distances(vecs[nodes]).astype(float)
-            dists[labels[nodes, None] == labels[nodes]] = np.inf
-            cross[r] = np.exp(-rate_req * dists[dists >= min_dist].min())
+    reach = _cross_reach(np.minimum.reduceat(vecs[order], start),
+                         np.maximum.reduceat(vecs[order], start),
+                         block_region, len(family))
+    cross = np.where(reach >= min_dist, np.exp(-rate_req * reach), np.inf)
 
     def rigid_stack(blk, s):
         # blocks blk of size s: their rows (the l-th holds zeta_l); per far
@@ -572,7 +558,13 @@ def _family_blocks(union: _Entries, family: Sequence[RegionSpec],
     row_of = np.empty(len(at), dtype=int)
     row_of[z_node] = z_rank
     w_pair = np.repeat(np.arange(len(p_node)), p_size)
-    rigid_parts = [np.split(x, end[:-1]) for x, end in (
+
+    def per_region(x, end):
+        # the slices of x that end at each region's end
+        cut = [0, *end.tolist()]
+        return [x[a:z] for a, z in zip(cut, cut[1:])]
+
+    rigid_parts = [per_region(x, end) for x, end in (
         (zeta[z_order], z_end), (kw[z_node[z_order]], z_end),
         (bound[p_order], p_end), (row_of[w_node[w_order]], w_end),
         (p_rank[w_pair[w_order]], w_end), (w_val[w_order], w_end))]
@@ -623,11 +615,19 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     block gets one eigvalsh per sigma chunk and distinct site set and, with
     far pairs, one inv per sigma where any region holding it passes the
     norm checks (a region that fails them is bad whatever its G is).  Min
-    and max |eig| over a region's blocks feed the singular guard.  Far pairs across blocks have G = 0 and enter as
-    exp(-gamma' D): in closed form for gamma' >= 0, D >= M^rho3 the largest
-    sup distance between two blocks' bounding boxes; for gamma' < 0, D the
-    least far cross-block distance, from the region's pair distances.
+    and max |eig| over a region's blocks feed the singular guard.  Far pairs
+    across blocks have G = 0 and enter as exp(-gamma' D), in closed form
+    with D >= M^rho3 the largest sup distance between two blocks' bounding
+    boxes.  A derived gamma' = gamma - M^-0.2 <= 0 would make that bound
+    grow with D, so it raises PreconditionFailed before any scan work, as
+    an explicit gamma_prime <= 0 already fails in Thresholds.
     """
+    norm_bound, rate_req, min_dist = thresholds.bounds(params.gamma, float(M))
+    if rate_req <= 0.0:
+        raise PreconditionFailed(
+            f"derived gamma_prime = gamma - M^-0.2 = {params.gamma!r} - "
+            f"{M}^-0.2 = {rate_req:.6g} is not positive; set "
+            f"scan.gamma_prime to a positive decay rate")
     family, union = _region_family(M, params.b, params.d,
                                    params.resonant_set(), max_regions)
     subsampled = len(family) >= max_regions
@@ -641,8 +641,6 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
                                  num_sigma)
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     window = (float(sigma_grid.min()), float(sigma_grid.max()))
-
-    norm_bound, rate_req, min_dist = thresholds.bounds(params.gamma, float(M))
 
     worst_norm = np.zeros(len(sigma_grid))
     worst_decay = np.full(len(sigma_grid), np.inf)
@@ -735,182 +733,3 @@ def diagonal_bad_intervals(M: int, params: ModelParams,
             merged.append((lo, hi))
     return merged
 
-
-# ---------------------------------------------------------------------------
-# Schur complement and per-k block diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SchurReport:
-    schur_matrix: np.ndarray
-    min_singular_value: float
-    complement_green_norm: float
-    green_norm: float
-    bound_rhs: float
-    bound_holds: bool
-
-
-def schur_complement(spec: OperatorSpec, b_star: Sequence) -> SchurReport:
-    """Schur reduction onto the near-singular block B*.
-
-    S = H_BB - H_Bc G_c H_cB with G_c the complement inverse; additionally
-    verifies the inversion bound |G| <= 4 (1 + |G_c|)^2 (1 + |S^-1|) on the
-    instance.  Raises ComplementSingular when the complement block cannot
-    be inverted.
-    """
-    idx = index_map(spec.region)
-    matrix = assemble(spec)
-    b_idx = np.unique([idx.index_of(s) for s in b_star]).astype(np.intp)
-    c_idx = np.setdiff1d(np.arange(idx.size), b_idx)
-
-    if len(c_idx):
-        hcc = matrix[np.ix_(c_idx, c_idx)]
-        eig = np.abs(np.linalg.eigvalsh(hcc))
-        if _is_singular(eig.min(), eig.max()):
-            raise ComplementSingular(
-                f"complement block singular (min |eig| = {eig.min():.3e})")
-        gcc = np.linalg.inv(hcc)
-        gc_norm = _inverse_norm(eig)
-    else:
-        gcc = np.zeros((0, 0))
-        gc_norm = 0.0
-
-    if len(b_idx):
-        hbb = matrix[np.ix_(b_idx, b_idx)]
-        hbc = matrix[np.ix_(b_idx, c_idx)]
-        schur = hbb - hbc @ gcc @ hbc.T
-        s_eig = np.abs(np.linalg.eigvalsh(schur))
-        s_min = float(s_eig.min())
-        s_inv_norm = _inverse_norm(s_eig)
-    else:
-        schur = np.zeros((0, 0))
-        s_min = float("inf")
-        s_inv_norm = 0.0
-
-    g_norm = _inverse_norm(np.abs(np.linalg.eigvalsh(matrix)))
-    rhs = 4.0 * (1.0 + gc_norm) ** 2 * (1.0 + s_inv_norm)
-    return SchurReport(
-        schur_matrix=schur,
-        min_singular_value=s_min,
-        complement_green_norm=gc_norm,
-        green_norm=g_norm,
-        bound_rhs=rhs,
-        bound_holds=bool(g_norm <= rhs),
-    )
-
-
-def _space_block(space_rows: np.ndarray, eps: float,
-                 diagonal: np.ndarray) -> np.ndarray:
-    """diag(diagonal) + eps*Delta on distinct space sites (rows of an int
-    array), dense; raises ValueError when a site repeats."""
-    idx = RegionIndex(space_rows, 0)
-    if (idx.lookup(space_rows) != np.arange(len(space_rows))).any():
-        raise ValueError("space sites must be distinct")
-    offs = np.array(neighbor_offsets(space_rows.shape[1]))
-    nb = idx.lookup(space_rows[None, :, :] + offs[:, None, :])   # (2d, N)
-    _, i = np.nonzero(nb >= 0)
-    out = np.diag(diagonal)
-    out[i, nb[nb >= 0]] += eps
-    return out
-
-
-@dataclass(frozen=True)
-class BlockSpectralReport:
-    eigenvalues: np.ndarray      # zeta_l of the fixed-k space block
-    inverse_norm_bound: float    # max_l 1 / |zeta_l - (sigma + k.omega)^2|
-    direct_inverse_norm: float
-    negative_shift: bool         # some zeta_l <= 0 (reported, not hidden)
-
-
-def block_spectral_bound(k: Sequence[int], space_sites: Sequence,
-                         sigma: float, omega: Sequence[float],
-                         params: ModelParams) -> BlockSpectralReport:
-    """Eigenvalues of the fixed-k space block and the induced inverse bound.
-
-    The block R(D(sigma) + eps*Delta)R at fixed k has eigenvalues
-    zeta_l - (sigma + k.omega)^2 where zeta_l are the eigenvalues of
-    diag(mu_n^2) + eps*Delta on the space sites; the inverse norm equals
-    max_l |sigma + k.omega - sqrt(zeta_l)|^-1 |sigma + k.omega + sqrt(zeta_l)|^-1
-    for positive zeta_l.  Cross-checked against direct inversion.
-    """
-    rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
-    block = _space_block(rows, params.eps,
-                         _on_distinct(distinct_rows(rows),
-                                      lambda n: mu(n, params) ** 2))
-    zetas = np.linalg.eigvalsh(block)
-    shift = float(sigma + np.dot(k, np.asarray(omega, dtype=float)))
-    full = block - shift**2 * np.eye(len(block))
-    return BlockSpectralReport(
-        eigenvalues=zetas,
-        inverse_norm_bound=_inverse_norm(np.abs(zetas - shift**2)),
-        direct_inverse_norm=_inverse_norm(np.abs(np.linalg.eigvalsh(full))),
-        negative_shift=bool((zetas <= 0.0).any()),
-    )
-
-
-# ---------------------------------------------------------------------------
-# auxiliary quasi-periodic Schrodinger block operator
-# ---------------------------------------------------------------------------
-
-def qp_schrodinger_matrix(space_sites: Sequence, energy: float, theta: float,
-                          params: ModelParams) -> np.ndarray:
-    """R_Q (cos(theta_rad + n.alpha_rad) + m - E + eps*Delta) R_Q on Z^d.
-
-    ``theta`` follows the package convention: supplied in [0,1], scaled by
-    2*pi internally.
-    """
-    rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
-    alpha = np.asarray(params.alpha)
-    diagonal = [math.cos(2.0 * math.pi * (float(np.dot(n, alpha)) + theta))
-                + params.m - energy for n in rows.tolist()]
-    return _space_block(rows, params.eps, np.array(diagonal))
-
-
-def qp_schrodinger_green(space_sites: Sequence, energy: float,
-                         theta: float, params: ModelParams,
-                         scale: Optional[float] = None) -> GreenReport:
-    """Green diagnostics for the auxiliary space-direction block operator.
-
-    The norm bound is exp(sqrt(N)) and the required off-diagonal rate is
-    |log eps| / 2 at distances >= N^rho3 (N the scale, by default the sites'
-    diameter; rho3 the default of ``Thresholds``).  Raises Singular for
-    near-singular instances; the verdict is per (E, theta).
-    """
-    rows = np.asarray(space_sites, dtype=int).reshape(len(space_sites), -1)
-    n_scale = float((rows.max(axis=0) - rows.min(axis=0)).max()) \
-        if scale is None else float(scale)
-    matrix = qp_schrodinger_matrix(rows, energy, theta, params)
-    # eps = 0 decouples the sites entirely: the required rate is infinite and
-    # the (identically zero) off-diagonal satisfies it.
-    rate = 0.5 * abs(math.log(params.eps)) if params.eps > 0.0 else math.inf
-    return _green_report(matrix, rows, n_scale, math.exp(math.sqrt(n_scale)),
-                         rate, n_scale ** Thresholds().rho3)
-
-
-def qp_schrodinger_theta_scan(N: int, energy: float, params: ModelParams,
-                              theta_grid, rho4: float = 0.05) -> dict:
-    """Fraction of theta grid points violating the auxiliary bounds.
-
-    rho4 is a free report parameter: the comparison value is exp(-N^rho4).
-    """
-    sites = box_vectors((0,) * params.d, (N // 2,) * params.d)
-    theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
-    bad = 0
-    for theta in theta_grid:
-        try:
-            rep = qp_schrodinger_green(sites, energy, float(theta), params,
-                                       scale=float(N))
-            if not (rep.norm_ok and rep.decay_ok):
-                bad += 1
-        except Singular:
-            bad += 1
-    frac = bad / len(theta_grid)
-    return {
-        "scale": N,
-        "energy": energy,
-        "bad_fraction": frac,
-        "comparison_value": math.exp(-float(N) ** rho4),
-        "rho4": rho4,
-        "theta_points": len(theta_grid),
-        "passes": frac <= math.exp(-float(N) ** rho4),
-    }

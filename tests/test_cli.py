@@ -402,6 +402,25 @@ class TestLdeScan:
         assert "REGION_BYTES" in capsys.readouterr().err
         assert not (workdir / "lde_scan.txt").exists()
 
+    def test_nonpositive_derived_gamma_prime_is_bad_config(self, workdir,
+                                                           capsys):
+        # gamma = 0.3 < 8^-0.2: the derived gamma' is negative and refused;
+        # an explicit positive scan.gamma_prime scans the same point
+        cfg = cli.preset_config("scan-demo")
+        cfg["model"]["gamma"] = 0.3
+        cfg["scan"].update(M=8, num_sigma=21)
+        path = workdir / "scan.txt"
+        cli.write_file(path, cfg)
+        assert run(["lde-scan", "--config", path, "--out", workdir]) == \
+            cli.EXIT_BAD_CONFIG
+        assert "scan.gamma_prime" in capsys.readouterr().err
+        assert not (workdir / "lde_scan.txt").exists()
+        cfg["scan"]["gamma_prime"] = 0.2
+        cli.write_file(path, cfg)
+        assert run(["lde-scan", "--config", path, "--out", workdir]) == \
+            cli.EXIT_OK
+        assert (workdir / "lde_scan.txt").exists()
+
 
 class TestOracleCompare:
     def test_compare_command(self, workdir):

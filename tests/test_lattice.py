@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpwave import (EmptyRegion, InvalidAnchors, OutOfRegion, RegionSpec,
-                    ResonantSet, Site, cube, index_map, region_members)
+                    ResonantSet, Site, cube, index_map)
 from qpwave.lattice import box_vectors, canonical_k, neighbor_offsets
 
 
@@ -91,7 +91,7 @@ class TestCube:
 class TestRegionMembers:
     def test_full_rectangle_lexicographic(self):
         spec = RegionSpec(Site((0,), (0,)), (1, 1), (0, 0), 1, 1)
-        mem = region_members(spec)
+        mem = spec.members()
         assert len(mem) == 9
         assert list(mem) == sorted(mem, key=lambda s: s.vector)
         assert mem[0] == Site((-1,), (-1,))
@@ -100,7 +100,7 @@ class TestRegionMembers:
     def test_shifted_copy_removed(self):
         # rectangle minus its right-shifted copy leaves one k-column
         spec = RegionSpec(Site((0,), (0,)), (1, 1), (1, 0), 1, 1)
-        mem = region_members(spec)
+        mem = spec.members()
         expected = brute_force_members(Site((0,), (0,)), (1, 1), (1, 0), 1, 1)
         assert list(mem) == expected
         assert len(mem) == 3
@@ -108,14 +108,15 @@ class TestRegionMembers:
 
     def test_disjoint_shift_keeps_all(self):
         spec = RegionSpec(Site((0,), (0,)), (0, 0), (1, 1), 1, 1)
-        mem = region_members(spec)
+        mem = spec.members()
         assert mem == (Site((0,), (0,)),)
 
     def test_empty_region_signals(self):
         s = ResonantSet(anchors=((0,),), b=1, d=1)
         spec = RegionSpec(Site((1,), (0,)), (0, 0), (0, 0), 1, 1, excluded=s)
+        assert spec.members() == ()
         with pytest.raises(EmptyRegion):
-            region_members(spec)
+            index_map(spec)
 
     def test_diameter(self):
         assert cube(2, 1, 1).diameter() == 4
@@ -145,8 +146,8 @@ class TestIndexMap:
     def test_identity_permutation_against_members(self):
         spec = cube(1, 1, 2)
         idx = index_map(spec)
-        assert list(region_members(spec)) == [idx.site_of(i)
-                                              for i in range(idx.size)]
+        assert list(spec.members()) == [idx.site_of(i)
+                                       for i in range(idx.size)]
 
     def test_stability_across_calls(self):
         spec = RegionSpec(Site((0,), (0,)), (2, 1), (1, 1), 1, 1)

@@ -9,14 +9,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from qpwave import lattice, linop
-from qpwave import (CoefficientField, ComplementSingular,
-                    OperatorSpec, RegionTooLarge, Singular, Thresholds, assemble,
-                    assemble_sparse, block_spectral_bound, cube, green,
-                    green_matrix, lde_scan, linearize, mu, omega0,
-                    qp_schrodinger_green, schur_complement)
+from qpwave import (CoefficientField, OperatorSpec, PreconditionFailed,
+                    RegionTooLarge, Singular, Thresholds, assemble,
+                    assemble_sparse, cube, green, green_matrix, lde_scan,
+                    linearize, mu, omega0)
 from qpwave.linop import (default_sigma_window, diagonal_bad_intervals,
-                          elementary_region_family, qp_schrodinger_matrix,
-                          qp_schrodinger_theta_scan)
+                          elementary_region_family)
 from qpwave.lattice import (RegionIndex, RegionSpec, Site, box_vectors,
                             canonical_k, index_map)
 from qpwave.solver import initial_field
@@ -306,10 +304,10 @@ class TestLdeScan:
            max_regions=st.sampled_from([linop.MAX_FAMILY_REGIONS, 5]),
            # rho3 = 1: far pairs start exactly at the integer distance M
            thresholds=st.sampled_from([Thresholds(), Thresholds(rho3=1.0)]),
-           # gamma = 0.3 < M^-0.2: gamma' < 0, the cross bound grows with D
+           # gamma = 0.3 < M^-0.2: the derived gamma' < 0 is refused
            gamma=st.sampled_from([1.0, 0.3]))
-    # gamma' < 0 at M = 8, where the nearest and the farthest far cross
-    # pairs differ; with single-site blocks the cross bound sets the margin
+    # gamma' < 0 at M = 8 with single-site blocks, where a cross bound
+    # exp(-gamma' D) would set the margin: refused before any scan work
     @example(theta0=0.5, m=2.5, shape=(1, 1, 8), couplings=(0.0, 0.0),
              max_regions=linop.MAX_FAMILY_REGIONS, thresholds=Thresholds(),
              gamma=0.3)
@@ -322,6 +320,11 @@ class TestLdeScan:
                                 theta0=theta0, m=m)
         om = tuple(float(w) for w in omega0(p))
         kernel = linearize(initial_field(p), p.p) if delta else None
+        if thresholds.bounds(gamma, float(M))[1] <= 0.0:
+            with pytest.raises(PreconditionFailed, match="gamma_prime"):
+                lde_scan(M, p, om, kernel=kernel, num_sigma=11,
+                         thresholds=thresholds, max_regions=max_regions)
+            return
         report = lde_scan(M, p, om, kernel=kernel, num_sigma=11,
                           thresholds=thresholds, max_regions=max_regions)
         want = reference_block_scan(M, p, om, kernel, report.sigma_grid,
@@ -414,6 +417,25 @@ class TestLdeScan:
             dense[1][want.rows, want.cols] += want.vals
             assert dense[0].tobytes() == dense[1].tobytes()
             offset += n
+
+    def test_nonpositive_derived_gamma_prime_is_refused(self, monkeypatch):
+        # gamma - M^-0.2 = 0.3 - 8^-0.2 < 0: refused before the family is
+        # built; an explicit positive gamma_prime scans the same point
+        p = golden_params(eps=1e-3, delta=1e-3, gamma=0.3)
+        om = tuple(float(w) for w in omega0(p))
+        kernel = linearize(initial_field(p), p.p)
+        with monkeypatch.context() as patch:
+            patch.setattr(linop, "_region_family", None)
+            with pytest.raises(PreconditionFailed, match="gamma_prime"):
+                lde_scan(8, p, om, kernel, num_sigma=21)
+        thresholds = Thresholds(gamma_prime=0.2)
+        report = lde_scan(8, p, om, kernel, num_sigma=21,
+                          thresholds=thresholds)
+        want = reference_block_scan(8, p, om, kernel, report.sigma_grid,
+                                    thresholds)
+        for name, ref in zip(("bad_flags", "worst_norm",
+                              "worst_decay_margin"), want):
+            assert getattr(report, name).tobytes() == ref.tobytes(), name
 
     def test_family_is_subsampled_and_deduplicated(self):
         fam = elementary_region_family(6, 1, 1, None, max_regions=64)
@@ -594,50 +616,6 @@ def test_components_match_csgraph(n, pairs):
     np.testing.assert_array_equal(linop._components(n, rows, cols), want)
 
 
-class TestSchurComplement:
-    def test_empty_block_trivial(self, params):
-        spec = op_spec(params, region=cube(1, 1, 1), sigma=0.37)
-        rep = schur_complement(spec, [])
-        assert rep.schur_matrix.shape == (0, 0)
-        assert rep.bound_holds
-
-    def test_diagonal_case_block_is_submatrix(self, params_uncoupled):
-        region = cube(1, 1, 1)
-        spec = op_spec(params_uncoupled, region=region, sigma=0.37)
-        sites = region.members()
-        rep = schur_complement(spec, [sites[0], sites[3]])
-        a = assemble(spec)
-        assert rep.schur_matrix == pytest.approx(
-            np.diag([a[0, 0], a[3, 3]]))
-        assert rep.bound_holds
-
-    def test_random_instance_bound_holds(self, params):
-        rng = np.random.default_rng(17)
-        kernel = random_symmetric_kernel(rng, 1, 1)
-        region = cube(7, 1, 1)   # 225 sites
-        spec = op_spec(params, region=region, kernel=kernel, sigma=0.3)
-        sites = region.members()
-        b_star = [sites[10], sites[100]]
-        rep = schur_complement(spec, b_star)
-        # independent check of the inequality with directly computed norms
-        a = assemble(spec)
-        g_norm = float(np.linalg.norm(np.linalg.inv(a), 2))
-        assert g_norm <= rep.bound_rhs
-        assert rep.bound_holds
-
-    def test_singular_complement_raises(self, params_uncoupled):
-        # sigma = mu_0 makes the diagonal entry D(0, 0) exactly zero, and the
-        # site (0, 0) stays in the complement
-        region = cube(1, 1, 1)
-        spec = op_spec(params_uncoupled, region=region,
-                       sigma=mu((0,), params_uncoupled))
-        origin = Site((0,), (0,))
-        assert assemble(spec)[region.members().index(origin)].max() == 0.0
-        other = next(s for s in region.members() if s != origin)
-        with pytest.raises(ComplementSingular):
-            schur_complement(spec, [other])
-
-
 class TestThresholds:
     @pytest.mark.parametrize("field, value", [
         ("rho1", math.nan), ("rho2", 0.0), ("rho3", math.inf),
@@ -646,64 +624,3 @@ class TestThresholds:
     def test_out_of_range_field_raises(self, field, value):
         with pytest.raises(ValueError, match=field):
             Thresholds(**{field: value})
-
-
-class TestBlockSpectral:
-    def test_uncoupled_eigenvalues_are_mu_squared(self, params):
-        p = params.with_couplings(0.0, params.delta)
-        sites = [(n,) for n in range(-2, 3)]
-        rep = block_spectral_bound((1,), sites, 0.2, omega0(p), p)
-        expected = sorted(mu((n,), p) ** 2 for n in range(-2, 3))
-        assert rep.eigenvalues == pytest.approx(expected)
-        assert not rep.negative_shift
-
-    def test_weyl_perturbation_bound(self, params):
-        sites = [(n,) for n in range(-2, 3)]
-        rep = block_spectral_bound((1,), sites, 0.2, omega0(params), params)
-        base = np.sort([mu((n,), params) ** 2 for n in range(-2, 3)])
-        assert np.abs(np.sort(rep.eigenvalues) - base).max() \
-            <= 2 * params.d * params.eps + 1e-15
-
-    def test_bound_matches_direct_inverse(self, params):
-        sites = [(n,) for n in range(-3, 4)]
-        rep = block_spectral_bound((2,), sites, 0.11, omega0(params), params)
-        assert rep.inverse_norm_bound == pytest.approx(
-            rep.direct_inverse_norm, rel=1e-10)
-
-    def test_eigenvalues_stay_above_half(self, params):
-        sites = [(n,) for n in range(-4, 5)]
-        rep = block_spectral_bound((0,), sites, 0.0, omega0(params), params)
-        assert (rep.eigenvalues >= 0.5).all()
-
-
-class TestQpSchrodinger:
-    def test_uncoupled_diagonal_inverse(self):
-        p = golden_params(eps=0.0, delta=0.0)
-        sites = [(n,) for n in range(-3, 4)]
-        energy = 0.0  # far below the spectrum: uniform gap
-        rep = qp_schrodinger_green(sites, energy, 0.3455, p, scale=6.0)
-        a = qp_schrodinger_matrix(sites, energy, 0.3455, p)
-        assert rep.operator_norm == pytest.approx(
-            1.0 / np.abs(np.diag(a)).min(), rel=1e-12)
-        assert rep.decay_ok
-
-    def test_energy_below_spectrum_always_good(self, params):
-        sites = [(n,) for n in range(-4, 5)]
-        rep = qp_schrodinger_green(sites, -1.0, 0.11, params, scale=8.0)
-        assert rep.norm_ok and rep.decay_ok
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_repeated_space_sites_refused(self, d):
-        # a cube with k in -3..3 lists every space site seven times
-        p = golden_params(d=d)
-        with pytest.raises(ValueError, match="distinct"):
-            qp_schrodinger_green(cube(3, 1, d).vectors()[:, 1:], 2.2, 0.3, p)
-        with pytest.raises(ValueError, match="distinct"):
-            block_spectral_bound((1,), [(0,) * d, (0,) * d], 0.2, omega0(p), p)
-
-    def test_theta_scan_bad_fraction(self, params):
-        result = qp_schrodinger_theta_scan(
-            12, energy=params.m + 0.3, params=params,
-            theta_grid=np.linspace(0.0, 1.0, 1000, endpoint=False), rho4=0.05)
-        assert result["bad_fraction"] <= result["comparison_value"]
-        assert result["passes"]
