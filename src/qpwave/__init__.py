@@ -15,14 +15,13 @@ from .spectrum import (AdmissibleMScan, Certificate, FrequencyCombination,
                        separation_certificate, sublevel_measure,
                        transversality_margin, wronskian_det,
                        wronskian_matrix)
-from .nonlin import (CoefficientField, ResidualReport, convolve,
-                     convolve_power, evaluate_solution, linearize,
-                     pde_residual, residual, weighted_tail_norm)
+from .nonlin import (CoefficientField, convolve, convolve_power,
+                     evaluate_solution, linearize, pde_residual, residual,
+                     weighted_tail_norm)
 from .linop import (GreenReport, LdeScanReport, OperatorSpec, Thresholds,
                     assemble, assemble_sparse, green, green_matrix, lde_scan)
-from .solver import (DecayFit, IterationTrace, OracleResult, Solution,
-                     SolverConfig, StageRecord, brute_force_oracle,
-                     compare_with_oracle, decay_fit, initial_field, p_step,
-                     q_step, solve)
+from .solver import (OracleResult, Solution, SolverConfig, StageRecord,
+                     brute_force_oracle, compare_with_oracle, decay_fit,
+                     initial_field, p_step, q_step, solve)
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Commands
 --------
 certify        write the non-resonance certificate bundle (exit 0 iff all
                hard gates pass)
-solve          run the staged solver; writes solution + trace files
+solve          run the staged solver; writes solution + trace files.  It
+               needs the output directory's certificate bundle to pass
+               and to certify the same model block (--force skips this)
 lde-scan       scan a sigma grid against the large-deviation inequalities;
                writes a report and plot-ready columns
 report         human-readable summary of a solution file
@@ -20,8 +22,9 @@ Solution records are rows [k-vector, n-vector, value] sorted by (|k|+|n|,
 lexicographic).  Plot data is column text: sigma, worst region norm, worst
 decay margin, good/bad flag.
 
-Exit codes: 0 success, 1 certification gate failure, 2 invalid config or
-malformed file, 3 resonant box, 4 non-convergence.
+Exit codes: 0 success, 1 certification gate failure (certify, or solve on a
+failed or stale bundle), 2 invalid config or malformed file (a missing
+bundle included), 3 resonant box, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -281,10 +284,13 @@ def field_records(field: CoefficientField) -> list:
 
 
 def field_from_records(records, b: int, d: int) -> CoefficientField:
-    entries = {}
-    for k, n, v in records:
-        entries[(tuple(int(x) for x in k), tuple(int(x) for x in n))] = float(v)
-    return CoefficientField.from_entries(entries, b, d)
+    """The field of rows [k, n, value]; a repeated site must repeat its value
+    and every index must be an integral number (ValueError otherwise)."""
+    def index(vector):
+        return tuple(cast_number("records index", x, int) for x in vector)
+
+    return CoefficientField.from_entries(
+        (((index(k), index(n)), v) for k, n, v in records), b, d)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +372,21 @@ def run_certify(cfg: dict, out_dir: Path) -> int:
 
 def run_solve(cfg: dict, out_dir: Path, force: bool = False,
               with_oracle: bool = False) -> int:
-    if not force and not (out_dir / "certificates.txt").exists():
-        print("error: no certificate bundle in the output directory "
-              "(run certify first or pass --force)", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    if not force:
+        try:
+            bundle = read_file(out_dir / "certificates.txt")
+            certified = bundle["all_pass"] is True \
+                and bundle["config"]["model"] == cfg["model"]
+        except MALFORMED as exc:
+            print(f"error: no readable certificate bundle in the output "
+                  f"directory ({exc}); run certify first or pass --force",
+                  file=sys.stderr)
+            return EXIT_BAD_CONFIG
+        if not certified:
+            print("error: the certificate bundle failed or certifies another "
+                  "model; run certify on this config or pass --force",
+                  file=sys.stderr)
+            return EXIT_GATE_FAILED
     params = model_params(cfg)
     config = config_block(cfg, SolverConfig)
     sol = solver.solve(params, config)
@@ -550,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the staged solver")
     common(p)
     p.add_argument("--force", action="store_true",
-                   help="solve without a certificate bundle")
+                   help="solve without a passing certificate bundle")
     p.add_argument("--oracle", action="store_true",
                    help="also run the dense oracle and record the discrepancy")
     p = sub.add_parser("lde-scan", help="scan sigma against the LDE bounds")

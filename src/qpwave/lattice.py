@@ -31,7 +31,9 @@ from .errors import EmptyRegion, InvalidAnchors, OutOfRegion, RegionTooLarge
 
 # Regions whose bounding box holds more candidate sites than this are
 # refused: vectors() materializes every candidate as an array row first.
-MATERIALIZE_LIMIT = 10**7
+# The solver's stage cubes fall under it too; at b = d = 1 it admits the
+# default ladder M = 3, r <= 6 (1459^2 sites).
+MATERIALIZE_LIMIT = 3_000_000
 # stencil patterns one RegionIndex keeps; past it the oldest is dropped
 PATTERN_LIMIT = 64
 

@@ -9,8 +9,8 @@ Its entries are built as arrays over the rows of the region's
 of an array of sites at once; they are laid out dense (``assemble``, for
 the Green's function diagnostics) or as CSR (``assemble_sparse``, for the
 solver's P-step).  Green's function reports carry the operator norm, a
-fitted off-diagonal decay rate and pass flags against exp(M^rho2) and
-exp(-gamma' |j-j'|) for |j-j'| >= M^rho3.
+fitted off-diagonal decay rate, the count of far pairs |j-j'| >= M^rho3
+and pass flags against exp(M^rho2) and exp(-gamma' |j-j'|) on those pairs.
 Scans over the spectral shift mark each grid sigma good or bad on a family
 of translated elementary regions, all split into blocks at once from one
 assembly on their union; bad fractions are compared with exp(-M^rho1).
@@ -184,21 +184,13 @@ def assemble_sparse(spec: OperatorSpec) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class GreenReport:
-    """Inverse diagnostics for one region and shift."""
+    """Inverse diagnostics for one region and shift at scale M."""
 
-    scale: float                 # M used for the threshold comparisons
     operator_norm: float
-    norm_bound: float            # exp(M^rho2)
-    norm_ok: bool
+    norm_ok: bool                # operator_norm <= exp(M^rho2)
     decay_rate_fit: float        # gamma-hat; nan when no far pairs exist
-    decay_fit_residual: float
-    decay_ok: bool
-    decay_rate_required: float   # gamma'
-    min_distance: float          # M^rho3
-    n_far_pairs: int
-    smallest_singular_value: float
-    condition: float
-    inverse_residual: float      # max |A G - I|
+    decay_ok: bool               # |G| <= exp(-gamma' |j-j'|) on far pairs
+    n_far_pairs: int             # pairs at sup distance >= M^rho3
 
 
 def _pair_distances(vecs: np.ndarray) -> np.ndarray:
@@ -217,75 +209,48 @@ def _is_singular(smallest, largest):
     return (smallest < SINGULARITY_RTOL * largest) | (smallest == 0.0)
 
 
-def _eig_extent(matrix: np.ndarray) -> tuple:
-    """(min, max) |eigenvalue| of a symmetric matrix; raises Singular when
-    the pair fails the singular guard."""
+def _smallest_eig(matrix: np.ndarray) -> float:
+    """min |eigenvalue| of a symmetric matrix; raises Singular when it fails
+    the singular guard against the largest."""
     abs_eig = np.abs(np.linalg.eigvalsh(matrix))
     smallest, largest = float(abs_eig.min()), float(abs_eig.max())
     if _is_singular(smallest, largest):
         raise Singular(f"matrix numerically singular (min |eig| = {smallest:.3e})",
                        smallest_singular_value=smallest)
-    return smallest, largest
-
-
-def _green_report(matrix: np.ndarray, vecs: np.ndarray, scale: float,
-                  norm_bound: float, rate_req: float,
-                  min_dist: float) -> GreenReport:
-    """Invert ``matrix`` (rows at ``vecs``) and check the three bounds."""
-    smallest, largest = _eig_extent(matrix)
-    green = np.linalg.inv(matrix)
-    norm = 1.0 / smallest
-    inv_res = float(np.abs(matrix @ green - np.eye(len(vecs))).max())
-
-    dists = _pair_distances(vecs)
-    far = dists >= min_dist
-    np.fill_diagonal(far, False)
-    n_far = int(np.count_nonzero(far))
-    g, x = np.abs(green[far]), dists[far]
-    decay_ok = bool((g <= np.exp(-rate_req * x)).all())
-
-    rate_fit, fit_res = float("nan"), float("nan")
-    if n_far:
-        keep = g > DECAY_FIT_FLOOR
-        if np.count_nonzero(keep) >= 2 and len(np.unique(x[keep])) >= 2:
-            coeffs, res, *_ = np.polyfit(x[keep], np.log(g[keep]), 1, full=True)
-            rate_fit = float(-coeffs[0])
-            fit_res = float(res[0]) if len(res) else 0.0
-
-    return GreenReport(
-        scale=scale,
-        operator_norm=norm,
-        norm_bound=norm_bound,
-        norm_ok=bool(norm <= norm_bound),
-        decay_rate_fit=rate_fit,
-        decay_fit_residual=fit_res,
-        decay_ok=decay_ok,
-        decay_rate_required=rate_req,
-        min_distance=min_dist,
-        n_far_pairs=n_far,
-        smallest_singular_value=smallest,
-        condition=largest / smallest,
-        inverse_residual=inv_res,
-    )
+    return smallest
 
 
 def green(spec: OperatorSpec, thresholds: Thresholds = Thresholds(),
           scale: Optional[float] = None) -> GreenReport:
     """Invert H(sigma) on the region and evaluate the LDE inequalities.
 
-    ``scale`` defaults to the region diameter.  Raises Singular when the
+    ``scale`` (M) defaults to the region diameter.  Raises Singular when the
     smallest |eigenvalue| is below SINGULARITY_RTOL times the largest.
     """
     matrix = assemble(spec)
     m_scale = float(spec.region.diameter()) if scale is None else float(scale)
-    return _green_report(matrix, spec.region.vectors(), m_scale,
-                         *thresholds.bounds(spec.params.gamma, m_scale))
+    norm_bound, rate_req, min_dist = thresholds.bounds(spec.params.gamma,
+                                                       m_scale)
+    norm = 1.0 / _smallest_eig(matrix)
+    dists = _pair_distances(spec.region.vectors())
+    far = dists >= min_dist
+    np.fill_diagonal(far, False)
+    g, x = np.abs(np.linalg.inv(matrix)[far]), dists[far]
+
+    rate_fit = float("nan")
+    keep = g > DECAY_FIT_FLOOR
+    if np.count_nonzero(keep) >= 2 and len(np.unique(x[keep])) >= 2:
+        rate_fit = float(-np.polyfit(x[keep], np.log(g[keep]), 1)[0])
+    return GreenReport(operator_norm=norm, norm_ok=bool(norm <= norm_bound),
+                       decay_rate_fit=rate_fit,
+                       decay_ok=bool((g <= np.exp(-rate_req * x)).all()),
+                       n_far_pairs=len(x))
 
 
 def green_matrix(spec: OperatorSpec) -> np.ndarray:
     """The bare inverse, singular-guarded (for identities and oracles)."""
     matrix = assemble(spec)
-    _eig_extent(matrix)
+    _smallest_eig(matrix)
     return np.linalg.inv(matrix)
 
 
@@ -372,7 +337,6 @@ class LdeScanReport:
     bad_intervals: tuple
     n_regions: int
     subsampled: bool
-    thresholds: Thresholds
 
     @property
     def passes(self) -> bool:
@@ -702,7 +666,6 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
         bad_intervals=tuple(intervals),
         n_regions=len(family),
         subsampled=subsampled,
-        thresholds=thresholds,
     )
 
 

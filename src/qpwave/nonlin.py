@@ -19,7 +19,6 @@ and kept on it for later calls of :func:`convolve_power`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -204,19 +203,8 @@ def _power(q: CoefficientField, order: int) -> CoefficientField:
     return convolve(convolve_power(q, order - 1), q)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """The residual field F(q) with its norms and support bound."""
-
-    field: CoefficientField
-    sup_norm: float
-    l2_norm: float
-    l1_norm: float
-    support_bound: int
-
-
 def residual(q: CoefficientField, omega: Sequence[float],
-             params: ModelParams) -> ResidualReport:
+             params: ModelParams) -> CoefficientField:
     """F(q) = D q + eps * Delta q + delta * q_*^(p+1), evaluated entrywise.
 
     D(k, n) = mu_n^2 - (k.omega)^2.  The result is computed on the closure
@@ -248,9 +236,7 @@ def residual(q: CoefficientField, omega: Sequence[float],
         for (k, n), v in power._data.items():
             add(k, n, params.delta * v)
 
-    f = CoefficientField(data, q.b, q.d, _trusted=True)
-    return ResidualReport(field=f, sup_norm=f.sup_norm(), l2_norm=f.l2_norm(),
-                          l1_norm=f.l1_norm(), support_bound=f.support_bound())
+    return CoefficientField(data, q.b, q.d, _trusted=True)
 
 
 def linearize(q: CoefficientField, p: int) -> CoefficientField:

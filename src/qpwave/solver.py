@@ -16,6 +16,12 @@ estimate of that folded operator decides whether the box is resonant.
 A plain dense Newton iteration on the full truncated system (q off the
 resonant set plus omega, no staging) serves as an independent validation
 oracle.
+
+A ``Solution`` holds q, omega, a tuple of one ``StageRecord`` per stage
+(the rows of ``trace.txt``; ``NonConvergence`` carries the same tuple), the
+quality block and the convergence flag.  ``decay_fit`` returns the fitted
+rate alone.  Certification is not checked here: ``qpwave solve`` refuses a
+failed or stale certificate bundle before it calls ``solve``.
 """
 
 from __future__ import annotations
@@ -37,11 +43,10 @@ from .lattice import (ResonantSet, Site, canonical_k, cube, index_map,
                       neighbor_offsets, sites_of, unit_k)
 from .linop import DECAY_FIT_FLOOR, MAX_CONDITION, OperatorSpec, assemble_sparse
 from .linop import assemble  # noqa: F401  perfbench/spans.py wraps solver.assemble
-from .nonlin import (CoefficientField, ResidualReport, convolve_power,
-                     linearize, pde_residual, residual, weighted_tail_norm)
-from .spectrum import Certificate, ModelParams, mu, omega0
+from .nonlin import (CoefficientField, convolve_power, linearize,
+                     pde_residual, residual, weighted_tail_norm)
+from .spectrum import ModelParams, mu, omega0
 
-MAX_BOX_SITES = 3_000_000  # admits the full default ladder M=3, r<=6
 COUPLING_LIMIT = 0.1       # largest eps+delta the stage scheme accepts
 DECAY_FIT_MIN_POINTS = 10  # off-resonant points a decay fit needs
 ORACLE_TOLERANCE = 1e-13   # oracle stops once |F| falls below this
@@ -75,37 +80,12 @@ class StageRecord:
 
 
 @dataclass(frozen=True)
-class IterationTrace:
-    records: tuple
-
-    def residuals(self) -> list:
-        return [r.residual_norm for r in self.records]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
-
-@dataclass(frozen=True)
 class Solution:
     q: CoefficientField
     omega: tuple
-    params: ModelParams
-    config: SolverConfig
-    trace: IterationTrace
+    trace: tuple              # StageRecord per stage, stage 0 first
     quality: dict
-    certificates: Optional[dict] = None
-    converged: bool = False
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    rate: float
-    intercept: float
-    fit_residual: float
-    n_points: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -180,7 +160,7 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
            params: ModelParams, stage: int, config: SolverConfig) -> PStepResult:
     """One smoothed Newton increment on the stage box minus the resonant set.
 
-    ``f`` is F(q) at ``omega`` (``residual(q, omega, params).field``).
+    ``f`` is F(q) at ``omega`` (``residual(q, omega, params)``).
     Solves (D(0) + eps*Delta + delta*T_q) dq = -F(q) restricted to the cube
     of radius M^stage with the resonant set removed.  The cube, the resonant
     set and the operator are symmetric under k -> -k and F(q) is even, so
@@ -188,7 +168,8 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
     (k = 0 or first nonzero entry of k positive), each column added onto
     its mirror's, and factored by sparse LU.  Raises ResonantBox when the
     folded operator is singular or its 1-norm condition estimate exceeds
-    MAX_CONDITION.
+    MAX_CONDITION, and RegionTooLarge (before any site is built) when the
+    cube holds more than lattice.MATERIALIZE_LIMIT candidate sites.
     """
     box = config.M ** stage
     resonant = params.resonant_set()
@@ -198,11 +179,6 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
                 f"stage box radius {box} does not contain the resonant set",
                 stage=stage, site=site)
     region = cube(box, params.b, params.d, excluded=resonant)
-    expected = math.prod(2 * w + 1 for w in region.half_widths)
-    if expected > MAX_BOX_SITES:
-        raise PreconditionFailed(
-            f"stage {stage} box holds ~{expected} sites, above "
-            f"max_box_sites={MAX_BOX_SITES}; lower M or r_max")
     idx = index_map(region)
     n_sites = idx.size
 
@@ -265,7 +241,7 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
 # ---------------------------------------------------------------------------
 
 def decay_fit(q: CoefficientField,
-              resonant_set: Optional[ResonantSet] = None) -> DecayFit:
+              resonant_set: Optional[ResonantSet] = None) -> float:
     """Least-squares decay rate of log|q| against |k| + |n| off the resonant
     set; the rate is the negated slope."""
     xs, ys = [], []
@@ -280,10 +256,7 @@ def decay_fit(q: CoefficientField,
         raise InsufficientData(
             f"decay fit needs >= {DECAY_FIT_MIN_POINTS} off-resonant points "
             f"above {DECAY_FIT_FLOOR:g}, got {len(xs)}")
-    coeffs, res, *_ = np.polyfit(np.array(xs), np.array(ys), 1, full=True)
-    return DecayFit(rate=float(-coeffs[0]), intercept=float(coeffs[1]),
-                    fit_residual=float(res[0]) if len(res) else 0.0,
-                    n_points=len(xs))
+    return float(-np.polyfit(np.array(xs), np.array(ys), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +264,7 @@ def decay_fit(q: CoefficientField,
 # ---------------------------------------------------------------------------
 
 def _quality_block(q: CoefficientField, omega: np.ndarray, params: ModelParams,
-                   final_residual: ResidualReport) -> dict:
+                   final_residual: CoefficientField) -> dict:
     resonant = params.resonant_set()
     anchors_ok = all(
         q.get(unit_k(l, params.b), n) == a / 2.0
@@ -306,16 +279,15 @@ def _quality_block(q: CoefficientField, omega: np.ndarray, params: ModelParams,
         "pde_residual_max": pde_residual(q, omega, params, t_samples),
         "anchors_exact": anchors_ok,
         "omega_deviation": float(np.abs(omega - om0).max()),
-        "final_residual_l2": final_residual.l2_norm,
-        "final_residual_sup": final_residual.sup_norm,
-        "final_residual_l1": final_residual.l1_norm,
+        "final_residual_l2": final_residual.l2_norm(),
+        "final_residual_sup": final_residual.sup_norm(),
+        "final_residual_l1": final_residual.l1_norm(),
         "support_bound": q.support_bound(),
         "lattice_entries": q.num_lattice_entries,
     }
 
 
-def solve(params: ModelParams, config: SolverConfig = SolverConfig(),
-          certificates: Optional[dict] = None) -> Solution:
+def solve(params: ModelParams, config: SolverConfig = SolverConfig()) -> Solution:
     """Alternate P- and Q-steps on growing boxes until the residual floor.
 
     One Q-step and F(q) at its omega come first; stage r (r = 1..r_max)
@@ -331,57 +303,52 @@ def solve(params: ModelParams, config: SolverConfig = SolverConfig(),
     if params.eps > params.delta and params.delta > 0.0:
         warnings.warn("eps > delta: outside the regime the construction targets",
                       stacklevel=2)
-    if certificates is not None:
-        failed = [k for k, c in certificates.items()
-                  if isinstance(c, Certificate) and not c.passed]
-        if failed:
-            raise PreconditionFailed(f"certificates failed: {failed}")
 
     q = initial_field(params)
     omega = omega0(params)
-    rep = residual(q, omega, params)
+    f = residual(q, omega, params)
+    norm = f.l2_norm()
     records = [StageRecord(stage=0, box_radius=0, delta_q_norm=0.0,
-                           residual_norm=rep.l2_norm,
+                           residual_norm=norm,
                            omega=tuple(float(w) for w in omega),
                            decay_rate=None, wall_time=0.0)]
-    converged = rep.l2_norm <= config.residual_floor
+    converged = norm <= config.residual_floor
     slow_stages = 0
     if not converged:
         omega = q_step(q, params)
-        f = residual(q, omega, params).field
+        f = residual(q, omega, params)
         for stage in range(1, config.r_max + 1):
             t0 = time.perf_counter()
             step = p_step(q, omega, f, params, stage, config)
             q = q.add(step.increment)
             omega = q_step(q, params)
-            prev_norm = rep.l2_norm
-            rep = residual(q, omega, params)
-            f = rep.field
+            prev_norm = norm
+            f = residual(q, omega, params)
+            norm = f.l2_norm()
             try:
-                rate = decay_fit(q, params.resonant_set()).rate
+                rate = decay_fit(q, params.resonant_set())
             except InsufficientData:
                 rate = None
             records.append(StageRecord(
                 stage=stage, box_radius=step.box_radius,
                 delta_q_norm=step.increment.l2_norm(),
-                residual_norm=rep.l2_norm,
+                residual_norm=norm,
                 omega=tuple(float(w) for w in omega),
                 decay_rate=rate,
                 wall_time=time.perf_counter() - t0))
-            if rep.l2_norm <= config.residual_floor:
+            if norm <= config.residual_floor:
                 converged = True
                 break
-            slow_stages = slow_stages + 1 if rep.l2_norm >= 0.9 * prev_norm else 0
+            slow_stages = slow_stages + 1 if norm >= 0.9 * prev_norm else 0
             if slow_stages >= 3:
                 raise NonConvergence(
-                    f"residual stagnated for 3 stages (now {rep.l2_norm:.3e})",
-                    trace=IterationTrace(tuple(records)))
+                    f"residual stagnated for 3 stages (now {norm:.3e})",
+                    trace=tuple(records))
 
-    trace = IterationTrace(tuple(records))
-    quality = _quality_block(q, omega, params, rep)
-    return Solution(q=q, omega=tuple(float(w) for w in omega), params=params,
-                    config=config, trace=trace, quality=quality,
-                    certificates=certificates, converged=converged)
+    return Solution(q=q, omega=tuple(float(w) for w in omega),
+                    trace=tuple(records),
+                    quality=_quality_block(q, omega, params, f),
+                    converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +389,7 @@ def brute_force_oracle(params: ModelParams, box: int) -> OracleResult:
     def f_vector(x: np.ndarray) -> np.ndarray:
         qf = field_of(x)
         omega = x[n_unknowns:]
-        ff = residual(qf, omega, params).field
+        ff = residual(qf, omega, params)
         out = np.empty(n_unknowns + params.b)
         for s, i in col.items():
             out[i] = ff.get(s.k, s.n)

@@ -485,13 +485,8 @@ M_INTERVAL = (2.0, 3.0)
 
 @dataclass(frozen=True)
 class SublevelResult:
-    bound: float
-    empirical: float
-    eta: float
-    r: int
-    tau: float
-    derivative_bound: float
-    grid_points: int
+    bound: float       # the analytic bound on meas{|f| <= eta}
+    empirical: float   # the grid-sampled measure
 
 
 def sublevel_measure(f_spec: Union[FrequencyCombination, Callable], eta: float,
@@ -528,8 +523,7 @@ def sublevel_measure(f_spec: Union[FrequencyCombination, Callable], eta: float,
     empirical = float(np.count_nonzero(np.abs(values) <= eta)) * spacing
     c_r = r * (r + 3) * (2.0 * A * length / tau + 1.0) / (A * length)
     bound = c_r * A * length * eta ** (1.0 / r) / tau**2
-    return SublevelResult(bound=float(bound), empirical=empirical, eta=eta, r=r,
-                          tau=tau, derivative_bound=A, grid_points=grid_points)
+    return SublevelResult(bound=float(bound), empirical=empirical)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def reference_increment(q, omega, params, stage, config) -> dict:
     spec = OperatorSpec(region, 0.0, tuple(float(w) for w in omega), params,
                         kernel)
     rhs = np.zeros(idx.size)
-    for k, n, v in residual(q, omega, params).field.full_items():
+    for k, n, v in residual(q, omega, params).full_items():
         i = idx.get((k, n))
         if i is not None:
             rhs[i] = -v

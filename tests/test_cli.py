@@ -208,6 +208,52 @@ class TestSolve:
         assert run(["solve", "--preset", "trivial", "--out", workdir]) == \
             cli.EXIT_BAD_CONFIG
 
+    def test_certified_preset_solves(self, workdir):
+        assert run(["certify", "--preset", "small-coupling", "--out",
+                    workdir]) == cli.EXIT_OK
+        assert run(["solve", "--preset", "small-coupling", "--out",
+                    workdir]) == cli.EXIT_OK
+        assert (workdir / "solution.txt").exists()
+
+    def test_failed_bundle_blocks_solve(self, workdir, capsys):
+        cfg = cli.default_config()
+        cfg["model"]["alpha"] = [0.5]
+        path = workdir / "cfg.txt"
+        cli.write_file(path, cfg)
+        assert run(["certify", "--config", path, "--out", workdir]) == \
+            cli.EXIT_GATE_FAILED
+        capsys.readouterr()
+        assert run(["solve", "--config", path, "--out", workdir]) == \
+            cli.EXIT_GATE_FAILED
+        assert "--force" in capsys.readouterr().err
+        assert not (workdir / "solution.txt").exists()
+        assert run(["solve", "--config", path, "--out", workdir,
+                    "--force"]) == cli.EXIT_OK
+
+    def test_bundle_for_another_model_blocks_solve(self, workdir, capsys):
+        assert run(["certify", "--preset", "small-coupling", "--out",
+                    workdir]) == cli.EXIT_OK
+        cfg = cli.preset_config("small-coupling")
+        cfg["model"]["theta0"] = 0.36
+        path = workdir / "cfg.txt"
+        cli.write_file(path, cfg)
+        capsys.readouterr()
+        assert run(["solve", "--config", path, "--out", workdir]) == \
+            cli.EXIT_GATE_FAILED
+        assert "--force" in capsys.readouterr().err
+        assert not (workdir / "solution.txt").exists()
+        assert run(["solve", "--config", path, "--out", workdir,
+                    "--force"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("bundle", ["{not json", "{}", "[]",
+                                        '{"all_pass": true}'],
+                             ids=["syntax", "no-keys", "list", "no-config"])
+    def test_malformed_bundle_is_bad_config(self, workdir, bundle):
+        (workdir / "certificates.txt").write_text(bundle)
+        assert run(["solve", "--preset", "small-coupling", "--out",
+                    workdir]) == cli.EXIT_BAD_CONFIG
+        assert not (workdir / "solution.txt").exists()
+
     def test_trivial_preset_returns_seed(self, workdir):
         code = run(["solve", "--preset", "trivial", "--out", workdir,
                     "--force"])
@@ -445,8 +491,10 @@ class TestOracleCompare:
         {"records": [], "omega": None},
         {"records": [], "omega": [2.0, 2.0]},
         [],
+        {"records": [[[1], [0], 0.5], [[1], [0], 0.7]], "omega": [2.0]},
+        {"records": [[[2.9], [0], 0.5]], "omega": [2.0]},
     ], ids=["null-records", "scalar-k", "null-omega", "omega-length",
-            "top-level-list"])
+            "top-level-list", "conflicting-repeat", "fractional-index"])
     def test_malformed_solution_file_is_bad_config(self, workdir, capsys,
                                                    solution):
         path = workdir / "solution.txt"

@@ -67,7 +67,7 @@ class TestDropRule:
         fields = [qa, qb, qa.add(qb), qa.add(qb, -1.0), qa.add(qa, -1.0),
                   qa.scaled(factor), convolve(qa, qb), convolve_power(qa, 2),
                   convolve_power(qa, 3),
-                  residual(qa, omega0(params), params).field]
+                  residual(qa, omega0(params), params)]
         for field in fields:
             assert_drop_rule(field)
         # the constructor drops exactly what the rule names, nothing more
@@ -168,36 +168,36 @@ class TestConvolvePower:
 
 class TestResidual:
     def test_zero_field(self, params):
-        rep = residual(CoefficientField.zero(1, 1), omega0(params), params)
-        assert rep.l2_norm == 0.0
-        assert len(rep.field) == 0
+        f = residual(CoefficientField.zero(1, 1), omega0(params), params)
+        assert f.l2_norm() == 0.0
+        assert len(f) == 0
 
     def test_unperturbed_solution_exact(self, params_uncoupled):
         q0 = initial_field(params_uncoupled)
-        rep = residual(q0, omega0(params_uncoupled), params_uncoupled)
-        assert rep.sup_norm == 0.0
+        f = residual(q0, omega0(params_uncoupled), params_uncoupled)
+        assert f.sup_norm() == 0.0
 
     def test_seed_residual_order_eps_plus_delta(self, params):
         q0 = initial_field(params)
-        rep = residual(q0, omega0(params), params)
+        f = residual(q0, omega0(params), params)
         total = params.eps + params.delta
-        assert 0.0 < rep.sup_norm <= 2.0 * total
+        assert 0.0 < f.sup_norm() <= 2.0 * total
         # support stays inside a coupling-independent cube
-        assert rep.support_bound <= params.p + 1
+        assert f.support_bound() <= params.p + 1
 
     def test_support_closure_bounds(self, params):
         q = field_from({((2,), (1,)): 0.3, ((0,), (-1,)): 0.2})
-        rep = residual(q, omega0(params), params)
+        f = residual(q, omega0(params), params)
         lk = q.support_k_bound()
         ln = q.support_n_bound()
-        assert rep.field.support_k_bound() <= (params.p + 1) * lk
-        assert rep.field.support_n_bound() <= ln + 1
+        assert f.support_k_bound() <= (params.p + 1) * lk
+        assert f.support_n_bound() <= ln + 1
 
     def test_symmetric_output(self, params):
         q = field_from({((1,), (0,)): 0.5, ((2,), (1,)): -0.3})
-        rep = residual(q, omega0(params), params)
-        for k, n, v in rep.field.canonical_items():
-            assert rep.field.get(tuple(-x for x in k), n) == v
+        f = residual(q, omega0(params), params)
+        for k, n, v in f.canonical_items():
+            assert f.get(tuple(-x for x in k), n) == v
 
 
 class TestLinearize:
@@ -220,11 +220,11 @@ class TestLinearize:
                         ((0,), (0,)): float(rng.normal())})
         om = omega0(params)
         h = 1e-6
-        f0 = residual(q, om, params).field
-        f1 = residual(q.add(v, h), om, params).field
+        f0 = residual(q, om, params)
+        f1 = residual(q.add(v, h), om, params)
         phi = linearize(q, params.p)
         # H v = D v + eps Delta v + delta T_phi v, evaluated fieldwise
-        hv = residual(v, om, params.with_couplings(params.eps, 0.0)).field
+        hv = residual(v, om, params.with_couplings(params.eps, 0.0))
         tv = convolve(phi, v).scaled(params.delta)
         hv = hv.add(tv)
         keys = {(k, n) for k, n, _ in f1.canonical_items()}
@@ -269,7 +269,7 @@ class TestPdeResidual:
                         ((2,), (1,)): float(0.1 * rng.normal()),
                         ((0,), (-1,)): float(0.1 * rng.normal())})
         om = omega0(params)
-        f = residual(q, om, params).field
+        f = residual(q, om, params)
         ts = np.linspace(0.0, 3.0, 11)
         direct = pde_residual(q, om, params, ts)
         # oracle: max_t max_n |sum_k F(k,n) cos(k.w t)|

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from qpwave import (CoefficientField, FrequencyCollapse, InsufficientData,
                     ModelParams, NonConvergence, PreconditionFailed,
-                    ResonantBox, SolverConfig, brute_force_oracle,
-                    compare_with_oracle, decay_fit, evaluate_solution,
-                    initial_field, omega0, p_step, q_step, residual, solve,
-                    weighted_tail_norm)
+                    RegionTooLarge, ResonantBox, SolverConfig,
+                    brute_force_oracle, compare_with_oracle, decay_fit,
+                    evaluate_solution, initial_field, omega0, p_step, q_step,
+                    residual, solve, weighted_tail_norm)
 
 from conftest import golden_params
 from pstep_reference import reference_increment
@@ -90,14 +90,14 @@ class TestPStep:
     def test_zero_residual_gives_zero_increment(self, params_uncoupled):
         q0 = initial_field(params_uncoupled)
         om = omega0(params_uncoupled)
-        res = p_step(q0, om, residual(q0, om, params_uncoupled).field,
+        res = p_step(q0, om, residual(q0, om, params_uncoupled),
                      params_uncoupled, 1, SolverConfig(M=3))
         assert res.increment.num_lattice_entries == 0
 
     def test_increment_vanishes_on_resonant_set(self, params):
         q0 = initial_field(params)
         om = q_step(q0, params)
-        res = p_step(q0, om, residual(q0, om, params).field, params, 1,
+        res = p_step(q0, om, residual(q0, om, params), params, 1,
                      SolverConfig(M=3))
         assert res.increment.get((1,), (0,)) == 0.0
         assert res.increment.get((-1,), (0,)) == 0.0
@@ -106,7 +106,7 @@ class TestPStep:
     def test_first_increment_order_of_couplings(self, params):
         q0 = initial_field(params)
         om = q_step(q0, params)
-        res = p_step(q0, om, residual(q0, om, params).field, params, 1,
+        res = p_step(q0, om, residual(q0, om, params), params, 1,
                      SolverConfig(M=3))
         total = params.eps + params.delta
         assert res.increment.l2_norm() <= 50.0 * total
@@ -114,7 +114,7 @@ class TestPStep:
     def test_increment_symmetric(self, params):
         q0 = initial_field(params)
         om = q_step(q0, params)
-        res = p_step(q0, om, residual(q0, om, params).field, params, 2,
+        res = p_step(q0, om, residual(q0, om, params), params, 2,
                      SolverConfig(M=3))
         for k, n, v in res.increment.canonical_items():
             assert res.increment.get(tuple(-x for x in k), n) == v
@@ -127,7 +127,7 @@ class TestPStep:
                         amplitudes=(1.0,))
         q0, om = initial_field(p), omega0(p)
         with pytest.raises(ResonantBox) as err:
-            p_step(q0, om, residual(q0, om, p).field, p, 1, SolverConfig(M=3))
+            p_step(q0, om, residual(q0, om, p), p, 1, SolverConfig(M=3))
         assert err.value.stage == 1
         assert err.value.condition == math.inf
         assert err.value.site is None
@@ -141,7 +141,7 @@ class TestPStep:
                         amplitudes=(1.0,))
         q0, om = initial_field(p), omega0(p)
         with pytest.raises(ResonantBox) as err:
-            p_step(q0, om, residual(q0, om, p).field, p, 1, SolverConfig(M=3))
+            p_step(q0, om, residual(q0, om, p), p, 1, SolverConfig(M=3))
         assert 1e14 < err.value.condition < math.inf
         assert err.value.site is not None
         assert tuple(map(abs, err.value.site.k)) == (1,)
@@ -157,7 +157,7 @@ class TestPStep:
         q = initial_field(p)
         om = q_step(q, p)
         with pytest.raises(ResonantBox) as err:
-            p_step(q, om, residual(q, om, p).field, p, 1, SolverConfig(M=3))
+            p_step(q, om, residual(q, om, p), p, 1, SolverConfig(M=3))
         assert err.value.stage == 1
         assert err.value.condition == math.inf
         assert err.value.site is None
@@ -183,10 +183,10 @@ class TestPStep:
         om = q_step(q, p)
         try:
             if stage == 2:
-                step = p_step(q, om, residual(q, om, p).field, p, 1, config)
+                step = p_step(q, om, residual(q, om, p), p, 1, config)
                 q = q.add(step.increment)
                 om = q_step(q, p)
-            res = p_step(q, om, residual(q, om, p).field, p, stage, config)
+            res = p_step(q, om, residual(q, om, p), p, stage, config)
         except ResonantBox:
             assume(False)
         ref = reference_increment(q, om, p, stage, config)
@@ -201,7 +201,22 @@ class TestPStep:
         p = golden_params(anchors=((30,),))
         q0, om = initial_field(p), omega0(p)
         with pytest.raises(ResonantBox):
-            p_step(q0, om, residual(q0, om, p).field, p, 1, SolverConfig(M=3))
+            p_step(q0, om, residual(q0, om, p), p, 1, SolverConfig(M=3))
+
+    def test_oversized_box_is_refused_before_it_is_built(self, monkeypatch):
+        # stage 4 at M = 3, b = 2, d = 1: a cube of 163^3 = 4 330 747
+        # candidate sites, above lattice.MATERIALIZE_LIMIT
+        from qpwave import lattice
+
+        def unbuilt(*args):
+            raise AssertionError("a candidate site was built")
+
+        p = golden_params(b=2, anchors=((0,), (1,)), amplitudes=(1.0, 1.0))
+        q0, om = initial_field(p), omega0(p)
+        f = residual(q0, om, p)
+        monkeypatch.setattr(lattice, "box_vectors", unbuilt)
+        with pytest.raises(RegionTooLarge, match="materialization limit"):
+            p_step(q0, om, f, p, 4, SolverConfig(M=3))
 
 
 class TestSolve:
@@ -232,13 +247,6 @@ class TestSolve:
         p = golden_params(eps=0.2, delta=0.2)
         with pytest.raises(PreconditionFailed):
             solve(p)
-
-    def test_failed_certificate_blocks_solve(self, params):
-        from qpwave import check_alpha_dc
-        failing = check_alpha_dc((0.0,), 5, 1e-2)
-        assert not failing.passed
-        with pytest.raises(PreconditionFailed):
-            solve(params, certificates={"alpha_dc": failing})
 
     def test_each_power_computed_once_per_field(self, params, monkeypatch):
         # q^3 is q^2 convolved with q, so building q^3 on a field builds its
@@ -385,8 +393,7 @@ class TestDecayFit:
             for n in range(-5, 6):
                 entries[((k,), (n,))] = math.exp(-0.7 * (k + abs(n)))
         q = CoefficientField.from_entries(entries, 1, 1)
-        fit = decay_fit(q)
-        assert fit.rate == pytest.approx(0.7, abs=1e-8)
+        assert decay_fit(q) == pytest.approx(0.7, abs=1e-8)
 
     def test_seed_has_insufficient_data(self, params):
         q0 = initial_field(params)
@@ -395,8 +402,7 @@ class TestDecayFit:
 
     def test_converged_solution_rate_positive(self, params):
         sol = solve(params, SolverConfig(M=3, r_max=6))
-        fit = decay_fit(sol.q, params.resonant_set())
-        assert fit.rate > 0.5
+        assert decay_fit(sol.q, params.resonant_set()) > 0.5
 
     def test_stage_rates_stay_bounded_away_from_zero(self, params):
         sol = solve(params, SolverConfig(M=3, r_max=6))
