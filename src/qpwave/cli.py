@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -547,7 +548,10 @@ def _box_radius(text: str) -> int:
     return int(text)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each call of ``main`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qpwave",
         description="Anderson-localized quasi-periodic lattice wave solutions: "

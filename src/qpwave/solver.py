@@ -15,7 +15,9 @@ estimate of that folded operator decides whether the box is resonant.
 
 A plain dense Newton iteration on the full truncated system (q off the
 resonant set plus omega, no staging) serves as an independent validation
-oracle.
+oracle.  It shares no assembly with the P-step: its closed-form Jacobian is
+built from its own index arrays, fixed per box, and the row-by-row form in
+``tests/oracle_reference.py`` is their reference.
 
 A ``Solution`` holds q, omega, a tuple of one ``StageRecord`` per stage
 (the rows of ``trace.txt``; ``NonConvergence`` carries the same tuple), the
@@ -39,11 +41,11 @@ import scipy.sparse.linalg as spla
 from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
                      OracleDiverged, OracleTooLarge, PreconditionFailed,
                      ResonantBox, check_ranges)
-from .lattice import (ResonantSet, Site, canonical_k, cube, index_map,
+from .lattice import (ResonantSet, Site, box_vectors, cube, index_map,
                       neighbor_offsets, sites_of, unit_k)
 from .linop import DECAY_FIT_FLOOR, MAX_CONDITION, OperatorSpec, assemble_sparse
 from .linop import assemble  # noqa: F401  perfbench/spans.py wraps solver.assemble
-from .nonlin import (CoefficientField, convolve_power, linearize,
+from .nonlin import (DROP, CoefficientField, convolve_power, linearize,
                      pde_residual, residual, weighted_tail_norm)
 from .spectrum import ModelParams, mu, omega0
 
@@ -51,6 +53,7 @@ COUPLING_LIMIT = 0.1       # largest eps+delta the stage scheme accepts
 DECAY_FIT_MIN_POINTS = 10  # off-resonant points a decay fit needs
 ORACLE_TOLERANCE = 1e-13   # oracle stops once |F| falls below this
 ORACLE_MAX_ITERATIONS = 50
+ORACLE_CHUNK = 1 << 14     # kernel (row, column) pairs the oracle gathers at once
 
 
 @dataclass(frozen=True)
@@ -230,10 +233,25 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
             f"{cond:.3e} at site {worst}", stage=stage, condition=cond,
             site=worst)
 
-    increment = CoefficientField.from_entries(
-        zip(sites_of(vecs[canon], b), lu.solve(rhs[canon]).tolist()), b, params.d)
+    increment = _increment(vecs[canon], lu.solve(rhs[canon]), b, params.d)
     return PStepResult(increment=increment, box_radius=box, box_sites=n_sites,
                        condition_estimate=cond)
+
+
+def _increment(vectors: np.ndarray, x: np.ndarray, b: int,
+               d: int) -> CoefficientField:
+    """The field of the values x at the canonical rows (k | n) ``vectors``.
+
+    The field's drop rule (x != 0, |x| >= DROP * max|x|) is applied to the
+    array first, so only the survivors become sites.  The constructor keeps
+    what it is given in order and applies the same cut to the same values,
+    so the field, dict order included, is the one built from every row.  A
+    non-finite value is kept, for ``from_entries`` to refuse.
+    """
+    mag = np.abs(x)
+    keep = ((x != 0.0) & (mag >= DROP * mag.max(initial=0.0))) | ~np.isfinite(x)
+    return CoefficientField.from_entries(
+        zip(sites_of(vectors[keep], b), x[keep].tolist()), b, d)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +373,152 @@ def solve(params: ModelParams, config: SolverConfig = SolverConfig()) -> Solutio
 # dense validation oracle
 # ---------------------------------------------------------------------------
 
+def _cube_place(vectors: np.ndarray, radius: int) -> np.ndarray:
+    """Row-major place of each vector (last axis) in the cube of ``radius``,
+    the order of ``lattice.box_vectors``; -1 outside the cube."""
+    place = np.zeros(vectors.shape[:-1], dtype=np.intp)
+    for j in range(vectors.shape[-1]):
+        place = place * (2 * radius + 1) + vectors[..., j] + radius
+    return np.where((np.abs(vectors) <= radius).all(axis=-1), place, -1)
+
+
+def _canonical_mask(k: np.ndarray) -> np.ndarray:
+    """Rows k (int, m x b) that are canonical: k = 0 or first nonzero > 0."""
+    return k[np.arange(len(k)), (k != 0).argmax(axis=1)] >= 0
+
+
+class _OracleSystem:
+    """The oracle's truncated system on the cube of radius ``box``, with the
+    index arrays of its closed-form Jacobian, built once per call.
+
+    Unknowns are q at the canonical sites of the cube minus the resonant set,
+    in the cube's lexicographic order, then the b frequencies.  Rows are F at
+    those sites, then F at the b anchors (the Q-equations).  A column table
+    over the cube maps both (k, n) and (-k, n) to the unknown at canonical k,
+    so canonical(k - k') is one table read.  Each iterate reads the delta
+    kernel into a grid over the space sites and the k' that can reach a
+    column (|k'| <= 2 box); a (row k, column t) pair takes its at most two
+    kernel terms, k' = k - t and k' = k + t, in the kernel's own order, so
+    every entry is summed as the row-by-row form sums it.
+    """
+
+    def __init__(self, params: ModelParams, box: int):
+        b, d = params.b, params.d
+        self.params = params
+        self.box = box
+        vecs = cube(box, b, d, excluded=params.resonant_set()).vectors()
+        unknowns = vecs[_canonical_mask(vecs[:, :b])]
+        rows = np.vstack([unknowns] + [
+            np.array(unit_k(l, b) + tuple(n)) for l, n in
+            enumerate(params.anchors, start=1)])
+        self.n_unknowns = n_unknowns = len(unknowns)
+        # canonical (k, n) key of every row, as a field stores it
+        self.keys = [(tuple(v[:b]), tuple(v[b:])) for v in rows.tolist()]
+        self.frozen = {key: a / 2.0 for key, a in
+                       zip(self.keys[n_unknowns:], params.amplitudes)}
+        site = self.site = _cube_place(rows[:, b:], box)  # -1: anchor outside
+
+        spaces = box_vectors((0,) * d, (box,) * d)
+        self.mu2 = np.array([mu(n, params) ** 2
+                             for n in map(tuple, spaces.tolist())])
+        col = np.full(((2 * box + 1) ** b, len(spaces)), -1, dtype=np.intp)
+        at = site[:n_unknowns]
+        col[_cube_place(unknowns[:, :b], box), at] = np.arange(n_unknowns)
+        col[_cube_place(-unknowns[:, :b], box), at] = np.arange(n_unknowns)
+        k_place = _cube_place(rows[:, :b], box)
+
+        # eps: the neighbours (k, n +- e_j) of each row
+        nbr = _cube_place(rows[:, None, b:] + np.array(neighbor_offsets(d)), box)
+        i, e = np.nonzero(nbr >= 0)
+        j = col[k_place[i], nbr[i, e]]
+        self.eps_pairs = (i[j >= 0], j[j >= 0])
+
+        # delta: row k and column t (both canonical) meet the kernel at
+        # k' = k - t and k' = k + t, one grid place past the end (a zero)
+        # standing for the second term of t = 0
+        kc = box_vectors((0,) * b, (box,) * b)
+        kc = kc[_canonical_mask(kc)]
+        self.kernel_cols = col[_cube_place(kc, box)].T     # site x canonical k
+        self.grid_size = (4 * box + 1) ** b
+        # a grid place is linear in k, with k = 0 at the middle
+        wide, mid = _cube_place(kc, 2 * box), self.grid_size // 2
+        self.first_k = wide[:, None] - wide[None, :] + mid
+        self.second_k = wide[:, None] + wide[None, :] - mid
+        self.second_k[:, ~kc.any(axis=1)] = self.grid_size
+        canon_of = np.full((2 * box + 1) ** b, -1, dtype=np.intp)
+        canon_of[_cube_place(kc, box)] = np.arange(len(kc))
+        self.kernel_rows = np.flatnonzero(site >= 0)
+        self.row_k = canon_of[k_place]
+        self.kc = kc.astype(float)
+        self.k_rows = self.kc[self.row_k]
+
+    def field(self, x: np.ndarray) -> CoefficientField:
+        """q at the point x: the anchors a_l/2, then x at the unknowns."""
+        entries = dict(self.frozen)
+        entries.update(zip(self.keys[:self.n_unknowns],
+                           x[:self.n_unknowns].tolist()))
+        return CoefficientField.from_entries(entries, self.params.b,
+                                             self.params.d)
+
+    def values(self, field: CoefficientField) -> np.ndarray:
+        """A field's values at the rows' sites, in row order."""
+        stored = {(k, n): v for k, n, v in field.canonical_items()}
+        return np.array([stored.get(key, 0.0) for key in self.keys])
+
+    def jacobian(self, x: np.ndarray, q: CoefficientField) -> np.ndarray:
+        """dF/d(q, omega) at x, where q is ``field(x)``."""
+        params, n_unknowns = self.params, self.n_unknowns
+        omega = x[n_unknowns:]
+        # k.omega by np.dot per distinct k, as F sums it
+        kw = np.array([np.dot(k, omega) for k in self.kc])[self.row_k]
+        size = n_unknowns + params.b
+        jac = np.zeros((size, size))
+        diag = np.arange(n_unknowns)
+        jac[diag, diag] += self.mu2[self.site[diag]] - kw[diag] * kw[diag]
+        if params.eps != 0.0:
+            jac[self.eps_pairs] += params.eps
+        if params.delta != 0.0:
+            self._add_kernel(jac, linearize(q, params.p))
+        jac[:, n_unknowns:] += -2.0 * kw[:, None] * self.k_rows \
+            * self.values(q)[:, None]
+        return jac
+
+    def _add_kernel(self, jac: np.ndarray, kernel: CoefficientField) -> None:
+        b, box = self.params.b, self.box
+        vecs, vals = kernel.as_arrays()
+        g = _cube_place(vecs[:, :b], 2 * box)
+        s = _cube_place(vecs[:, b:], box)
+        ok = (g >= 0) & (s >= 0)
+        shape = (len(self.mu2), self.grid_size + 1)
+        value = np.zeros(shape)
+        value[s[ok], g[ok]] = self.params.delta * vals[ok]
+        order = np.full(shape, len(vals))       # place in kernel.full_items
+        order[s[ok], g[ok]] = np.flatnonzero(ok)
+        chunk = max(1, ORACLE_CHUNK // len(self.first_k))
+        for lo in range(0, len(self.kernel_rows), chunk):
+            i = self.kernel_rows[lo:lo + chunk]
+            site = self.site[i][:, None]
+            g1, g2 = self.first_k[self.row_k[i]], self.second_k[self.row_k[i]]
+            cols = self.kernel_cols[self.site[i]]
+            ok = cols >= 0
+            at = (np.broadcast_to(i[:, None], cols.shape)[ok], cols[ok])
+            v1, v2 = value[site, g1][ok], value[site, g2][ok]
+            swap = (order[site, g2] < order[site, g1])[ok]
+            jac[at] += np.where(swap, v2, v1)
+            jac[at] += np.where(swap, v1, v2)
+
+
 def brute_force_oracle(params: ModelParams, box: int) -> OracleResult:
     """Plain dense Newton on the full truncated system (no staging).
 
     Unknowns are q at the canonical sites of the cube of radius ``box``
     minus the resonant set, plus the b frequencies; equations are F at those
-    sites plus the b Q-equations.  The Jacobian is assembled in closed form.
+    sites plus the b Q-equations.  The Jacobian is the closed form, built
+    from index arrays fixed per box (``_OracleSystem``); its row-by-row
+    reference is ``tests/oracle_reference.py``.  Each iterate's field is
+    built once: F and the Jacobian there share it, so the kernel reads the
+    power of q that F computed.  A singular Jacobian, a non-finite Newton
+    step and a non-finite F raise OracleDiverged.
     """
     # canonical k (k = 0 and half the rest) times the space sites, minus the
     # resonant (e_l, n^(l)) inside the box: counted before any site is built
@@ -371,94 +529,39 @@ def brute_force_oracle(params: ModelParams, box: int) -> OracleResult:
         raise OracleTooLarge(
             f"oracle box {box}: truncated system has {n_unknowns + params.b} "
             f"unknowns (> 10^4)")
-    region = cube(box, params.b, params.d, excluded=params.resonant_set())
-    unknown_sites = [s for s in region.members() if canonical_k(s.k) == s.k]
-    col = {s: i for i, s in enumerate(unknown_sites)}
-    anchor_rows = [(unit_k(l, params.b), tuple(n), a)
-                   for l, (n, a) in enumerate(
-                       zip(params.anchors, params.amplitudes), start=1)]
+    system = _OracleSystem(params, box)
 
-    frozen = {(e, n): a / 2.0 for e, n, a in anchor_rows}
-
-    def field_of(x: np.ndarray) -> CoefficientField:
-        entries = dict(frozen)
-        for s, i in col.items():
-            entries[(s.k, s.n)] = x[i]
-        return CoefficientField.from_entries(entries, params.b, params.d)
-
-    def f_vector(x: np.ndarray) -> np.ndarray:
-        qf = field_of(x)
-        omega = x[n_unknowns:]
-        ff = residual(qf, omega, params)
-        out = np.empty(n_unknowns + params.b)
-        for s, i in col.items():
-            out[i] = ff.get(s.k, s.n)
-        for j, (e, n, _a) in enumerate(anchor_rows):
-            out[n_unknowns + j] = ff.get(e, n)
-        return out
-
-    offsets = neighbor_offsets(params.d)
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        qf = field_of(x)
-        omega = x[n_unknowns:]
-        kernel = linearize(qf, params.p) if params.delta != 0.0 else None
-        kernel_slices = {}
-        if kernel is not None:
-            for k, n, v in kernel.full_items():
-                kernel_slices.setdefault(n, {})[k] = v
-        jac = np.zeros((n_unknowns + params.b, n_unknowns + params.b))
-
-        def fill_row(row: int, k: tuple, n: tuple):
-            kw = float(np.dot(k, omega))
-            j = col.get(Site(k, n))
-            if j is not None:
-                jac[row, j] += mu(n, params) ** 2 - kw * kw
-            if params.eps != 0.0:
-                for off in offsets:
-                    nb = tuple(xx + o for xx, o in zip(n, off))
-                    j = col.get(Site(k, nb))
-                    if j is not None:
-                        jac[row, j] += params.eps
-            sl = kernel_slices.get(n)
-            if sl is not None:
-                for koff, v in sl.items():
-                    tgt = canonical_k(tuple(a - b for a, b in zip(k, koff)))
-                    j = col.get(Site(tgt, n))
-                    if j is not None:
-                        jac[row, j] += params.delta * v
-            qval = qf.get(k, n)
-            for l in range(params.b):
-                jac[row, n_unknowns + l] += -2.0 * kw * k[l] * qval
-
-        for s, i in col.items():
-            fill_row(i, s.k, s.n)
-        for jrow, (e, n, _a) in enumerate(anchor_rows):
-            fill_row(n_unknowns + jrow, e, n)
-        return jac
+    def f_at(x: np.ndarray, q: CoefficientField, iteration: int) -> np.ndarray:
+        fv = system.values(residual(q, x[n_unknowns:], params))
+        if not np.isfinite(fv).all():
+            raise OracleDiverged(f"non-finite F at iteration {iteration}")
+        return fv
 
     x = np.zeros(n_unknowns + params.b)
     x[n_unknowns:] = omega0(params)
     history = []
-    fv = f_vector(x)
+    qf = system.field(x)
+    fv = f_at(x, qf, 0)
     for iteration in range(ORACLE_MAX_ITERATIONS):
         rnorm = float(np.linalg.norm(fv))
         history.append(rnorm)
         if rnorm < ORACLE_TOLERANCE:
-            qf = field_of(x)
             return OracleResult(q=qf, omega=tuple(float(w) for w in x[n_unknowns:]),
                                 residual_history=tuple(history),
                                 final_residual=rnorm, iterations=iteration)
-        jac = jacobian(x)
         try:
-            step = np.linalg.solve(jac, fv)
+            step = np.linalg.solve(system.jacobian(x, qf), fv)
         except np.linalg.LinAlgError as exc:
             raise OracleDiverged(f"Jacobian singular at iteration {iteration}: "
                                  f"{exc}") from exc
         scale = 1.0
         for _ in range(30):
             trial = x - scale * step
-            fv = f_vector(trial)    # kept: the next iteration's F(x)
+            if not np.isfinite(trial).all():
+                raise OracleDiverged(
+                    f"non-finite Newton step at iteration {iteration}")
+            qf = system.field(trial)
+            fv = f_at(trial, qf, iteration)   # kept with qf: the next F(x)
             if np.linalg.norm(fv) < rnorm or scale < 1e-9:
                 break
             scale *= 0.5

@@ -6,14 +6,18 @@ The stage box minus the resonant set is assembled dense with
 (k = 0 or first nonzero entry of k positive) is averaged with its mirror
 (-k, n).  Nothing of the even-subspace folding or the sparse LU is used, so
 this is the oracle for them.  It has no condition gate.
+
+``all_rows_increment`` is the reference for the last piece of ``p_step``:
+it builds the increment field from every solved row, where ``p_step``
+applies the drop rule to the array first.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from qpwave.lattice import cube, index_map
+from qpwave.lattice import cube, index_map, sites_of
 from qpwave.linop import OperatorSpec, assemble
-from qpwave.nonlin import linearize, residual
+from qpwave.nonlin import CoefficientField, linearize, residual
 
 
 def reference_increment(q, omega, params, stage, config) -> dict:
@@ -45,3 +49,11 @@ def reference_increment(q, omega, params, stage, config) -> dict:
         if val != 0.0:
             out[(site.k, site.n)] = val
     return out
+
+
+def all_rows_increment(vectors, x, b, d):
+    """The P-step increment as ``p_step`` first built it: every canonical
+    row (k | n) of ``vectors`` with its value in x, passed to the field
+    constructor, which then drops what its rule cuts."""
+    return CoefficientField.from_entries(
+        zip(sites_of(vectors, b), x.tolist()), b, d)

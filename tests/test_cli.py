@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qpwave import cli
@@ -229,6 +230,23 @@ class TestSolve:
         assert not (workdir / "solution.txt").exists()
         assert run(["solve", "--config", path, "--out", workdir,
                     "--force"]) == cli.EXIT_OK
+
+    def test_parser_is_built_once_and_keeps_no_state(self, workdir):
+        # one parser serves every call: --force on one call must not carry
+        # over to the next, which still meets the gate
+        assert cli.build_parser() is cli.build_parser()
+        cfg = cli.default_config()
+        cfg["model"]["alpha"] = [0.5]
+        path = workdir / "cfg.txt"
+        cli.write_file(path, cfg)
+        assert run(["certify", "--config", path, "--out", workdir]) == \
+            cli.EXIT_GATE_FAILED
+        assert run(["solve", "--config", path, "--out", workdir,
+                    "--force"]) == cli.EXIT_OK
+        (workdir / "solution.txt").unlink()
+        assert run(["solve", "--config", path, "--out", workdir]) == \
+            cli.EXIT_GATE_FAILED
+        assert not (workdir / "solution.txt").exists()
 
     def test_bundle_for_another_model_blocks_solve(self, workdir, capsys):
         assert run(["certify", "--preset", "small-coupling", "--out",
@@ -503,6 +521,19 @@ class TestOracleCompare:
                     "--out", workdir, path, "--box", "2"])
         assert code == cli.EXIT_BAD_CONFIG
         assert "malformed solution file" in capsys.readouterr().err
+        assert not (workdir / "oracle_compare.txt").exists()
+
+    def test_non_finite_oracle_step_is_exit_2(self, workdir, capsys,
+                                              monkeypatch):
+        # a NaN Newton step is an OracleDiverged (exit 2), not a traceback
+        run(["solve", "--preset", "small-coupling", "--out", workdir,
+             "--force"])
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.full_like(b, np.nan))
+        code = run(["oracle-compare", "--preset", "small-coupling",
+                    "--out", workdir, workdir / "solution.txt", "--box", "4"])
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "non-finite Newton step" in capsys.readouterr().err
         assert not (workdir / "oracle_compare.txt").exists()
 
     def test_oversized_box_is_bad_config(self, workdir, capsys):

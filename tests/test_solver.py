@@ -7,14 +7,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qpwave import (CoefficientField, FrequencyCollapse, InsufficientData,
-                    ModelParams, NonConvergence, PreconditionFailed,
-                    RegionTooLarge, ResonantBox, SolverConfig,
-                    brute_force_oracle, compare_with_oracle, decay_fit,
-                    evaluate_solution, initial_field, omega0, p_step, q_step,
-                    residual, solve, weighted_tail_norm)
+                    ModelParams, NonConvergence, OracleDiverged,
+                    PreconditionFailed, RegionTooLarge, ResonantBox,
+                    SolverConfig, brute_force_oracle, compare_with_oracle,
+                    decay_fit, evaluate_solution, initial_field, omega0,
+                    p_step, q_step, residual, solve, solver,
+                    weighted_tail_norm)
+from qpwave.lattice import box_vectors, canonical_k
 
 from conftest import golden_params
-from pstep_reference import reference_increment
+from oracle_reference import reference_jacobian
+from pstep_reference import all_rows_increment, reference_increment
 
 
 class TestInitialField:
@@ -197,6 +200,33 @@ class TestPStep:
         for k, n, v in res.increment.canonical_items():
             assert res.increment.get(tuple(-x for x in k), n) == v
 
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(1, 2), d=st.integers(1, 2),
+           values=st.lists(st.one_of(
+               st.just(0.0), st.floats(-1e3, 1e3),
+               st.builds(lambda m, e: m * 10.0 ** -e, st.floats(-1.0, 1.0),
+                         st.integers(12, 30)),
+               st.sampled_from([math.nan, math.inf, -math.inf])),
+               max_size=60))
+    def test_increment_from_survivors_is_the_all_rows_field(self, b, d,
+                                                            values):
+        # p_step applies the drop rule to the solved array before it builds
+        # a site: the field, its order included, is the one the constructor
+        # makes from every row, and a non-finite value is refused alike
+        vecs = np.array([v for v in box_vectors((0,) * (b + d),
+                                                (3,) * (b + d)).tolist()
+                         if tuple(v[:b]) == canonical_k(tuple(v[:b]))])
+        vecs = vecs[:len(values)]
+        x = np.array(values[:len(vecs)], dtype=float)
+
+        def outcome(build):
+            try:
+                return list(build(vecs, x, b, d).canonical_items())
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(solver._increment) == outcome(all_rows_increment)
+
     def test_box_must_contain_resonant_set(self):
         p = golden_params(anchors=((30,),))
         q0, om = initial_field(p), omega0(p)
@@ -336,9 +366,94 @@ class TestBruteForceOracle:
         assert res.iterations >= 2
         assert len(calls) == len(res.residual_history) == res.iterations + 1
 
+    def test_jacobian_reuses_the_field_of_its_residual(self, params,
+                                                       monkeypatch):
+        # F and the Jacobian at an iterate share one field: every field the
+        # Jacobian linearizes was given to the residual first, so none is
+        # built for the Jacobian alone, and F stays one per accepted point
+        given_to = {"residual": [], "linearize": []}
+        for name in given_to:
+            real = getattr(solver, name)
+
+            def recording(q, *args, _name=name, _real=real, **kwargs):
+                if _name == "linearize":
+                    assert any(q is seen for seen in given_to["residual"])
+                given_to[_name].append(q)
+                return _real(q, *args, **kwargs)
+
+            monkeypatch.setattr(solver, name, recording)
+        res = brute_force_oracle(params, 8)
+        assert res.iterations >= 2
+        assert len(given_to["residual"]) == res.iterations + 1
+        assert len(given_to["linearize"]) == res.iterations
+
+    @pytest.mark.parametrize("value, what", [(math.nan, "Newton step"),
+                                             (math.inf, "Newton step"),
+                                             (1e300, "F")])
+    def test_non_finite_step_or_residual_is_oracle_diverged(
+            self, params, monkeypatch, value, what):
+        # a NaN or infinite step, or one so large that F overflows, ends the
+        # iteration as a divergence, before any field holds the value
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.full_like(b, value))
+        with pytest.raises(OracleDiverged, match=f"non-finite {what} at "
+                                                 "iteration 0"):
+            brute_force_oracle(params, 4)
+
+    def test_independent_of_the_solver_assembly(self, monkeypatch):
+        # the oracle builds its own column table and Jacobian: it runs with
+        # every operator assembly and region index of the solver disabled
+        from qpwave import lattice, linop
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("the oracle reached solver assembly")
+
+        for owner, name in ((linop, "assemble"), (linop, "assemble_sparse"),
+                            (linop, "_entries_on"), (solver, "assemble_sparse"),
+                            (solver, "index_map"), (lattice, "index_map"),
+                            (lattice.RegionIndex, "pairs"),
+                            (lattice.RegionIndex, "lookup")):
+            monkeypatch.setattr(owner, name, disabled)
+        res = brute_force_oracle(golden_params(b=2, anchors=((0,), (1,))), 3)
+        assert res.final_residual < 1e-13
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             brute_force_oracle(golden_params(), 70)
+
+
+class TestOracleJacobian:
+    @settings(max_examples=25, deadline=None)
+    @given(shape=st.sampled_from([(1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 2, 2),
+                                  (1, 2, 3), (1, 2, 4), (2, 1, 2), (2, 1, 3),
+                                  (2, 1, 4), (2, 2, 2)]),
+           p=st.sampled_from([2, 4]), eps=st.sampled_from([0.0, 1e-3, 0.02]),
+           delta=st.sampled_from([0.0, 1e-3, 0.02]),
+           second_anchor=st.sampled_from([1, 3]),
+           size=st.floats(1e-4, 0.1), rate=st.floats(1e-3, 0.5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_is_the_row_by_row_jacobian(
+            self, shape, p, eps, delta, second_anchor, size, rate, seed):
+        # x near the Newton start: frequencies near omega0, q small and
+        # decaying in |k| + |n|, with exact zeros and entries under the drop
+        # rule.  At b = 2 the second anchor may lie outside box 2.  The
+        # kernel terms of each entry are summed in the kernel's own order
+        # and k.omega as F forms it, so the two agree bitwise.
+        b, d, box = shape
+        anchors = ((0,) * d, (second_anchor,) + (0,) * (d - 1))[:b]
+        params = golden_params(b=b, d=d, p=p, eps=eps, delta=delta,
+                               anchors=anchors)
+        system = solver._OracleSystem(params, box)
+        n = system.n_unknowns
+        rng = np.random.default_rng(seed)
+        order = np.array([sum(map(abs, k + m)) for k, m in system.keys[:n]])
+        x = np.empty(n + b)
+        x[:n] = (size * rng.uniform(-1.0, 1.0, n) * rate ** order
+                 * (rng.random(n) < 0.8))
+        x[n:] = omega0(params) * (1.0 + size * rng.uniform(-1.0, 1.0, b))
+        got = system.jacobian(x, system.field(x))
+        want = reference_jacobian(params, box, x)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOracleEquivalence:
