@@ -35,6 +35,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -71,6 +72,15 @@ MALFORMED = (OSError, LookupError, ValueError, TypeError, AttributeError)
 # ---------------------------------------------------------------------------
 
 def _format_value(value, indent: int) -> str:
+    # the exact built-in types first; strings are escaped as json.dumps of a
+    # str escapes them (ensure_ascii), without its per-call encoder set-up
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g") if math.isfinite(value) else "null"
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
     pad = " " * indent
     if value is None:
         return "null"
@@ -82,13 +92,13 @@ def _format_value(value, indent: int) -> str:
         v = float(value)
         return format(v, ".17g") if math.isfinite(v) else "null"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         rows = []
         for key in sorted(value.keys(), key=str):
-            rows.append(f'{pad}  {json.dumps(str(key))}: '
+            rows.append(f'{pad}  {encode_basestring_ascii(str(key))}: '
                         f'{_format_value(value[key], indent + 2)}')
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(value, (list, tuple, np.ndarray)):

@@ -45,9 +45,16 @@ class CoefficientField:
     def __init__(self, data: Dict[tuple, float], b: int, d: int, _trusted=False):
         if not _trusted:
             raise TypeError("use CoefficientField.from_entries")
-        cut = DROP * max(map(abs, data.values()), default=0.0)
+        # the cut comes from the finite magnitudes, and a non-finite value is
+        # always kept, for the callers' finite checks to see.  max skips a
+        # NaN unless it comes first, so a finite max is the finite one's
+        top = max(map(abs, data.values()), default=0.0)
+        if not top < math.inf:
+            top = max((a for a in map(abs, data.values()) if a < math.inf),
+                      default=0.0)
+        cut = DROP * top
         self._data = {key: v for key, v in data.items()
-                      if v != 0.0 and abs(v) >= cut}
+                      if v != 0.0 and not abs(v) < cut}
         self.b = b
         self.d = d
         self._powers: Dict[int, "CoefficientField"] = {}

@@ -453,12 +453,15 @@ class _OracleSystem:
         self.k_rows = self.kc[self.row_k]
 
     def field(self, x: np.ndarray) -> CoefficientField:
-        """q at the point x: the anchors a_l/2, then x at the unknowns."""
+        """q at the point x: the anchors a_l/2, then x at the unknowns.  The
+        keys are canonical and distinct (the unknowns exclude the resonant
+        anchors), and x is finite (the callers check every trial point), so
+        the dict is a field as it stands."""
         entries = dict(self.frozen)
         entries.update(zip(self.keys[:self.n_unknowns],
                            x[:self.n_unknowns].tolist()))
-        return CoefficientField.from_entries(entries, self.params.b,
-                                             self.params.d)
+        return CoefficientField(entries, self.params.b, self.params.d,
+                                _trusted=True)
 
     def values(self, field: CoefficientField) -> np.ndarray:
         """A field's values at the rows' sites, in row order."""

@@ -540,6 +540,28 @@ class AdmissibleMScan:
     certificate: Certificate
 
 
+SURVIVOR_SLACK = 1e-9        # relative margin by which a bound must clear eta
+
+
+def _survivors(kw: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               eta: float) -> tuple:
+    """(shifted, difference): masks of the (k, column) cells of the k.omega0
+    rows ``kw`` that the closed-form bounds cannot clear, for columns whose
+    mu_n lie in [lo, hi].
+
+    |k.omega0 + mu_n| >= dist(-k.omega0, [lo, hi]) and
+    |k.omega0 + mu_n - mu_n'| >= |k.omega0| - (hi - lo); rounding is
+    monotone, so each bound, rounded, also bounds the rounded values.  A
+    cell whose bound exceeds eta by SURVIVOR_SLACK * (1 + |k.omega0| + hi)
+    (far above the rounding by which the caller's k.omega0 may differ from
+    these rows) passes for every n, n'.  A NaN keeps its cell.
+    """
+    edge = eta + SURVIVOR_SLACK * (1.0 + np.abs(kw) + hi)
+    shifted = ~((kw + lo > edge) | (kw + hi < -edge))
+    difference = ~(np.abs(kw) - (hi - lo) > edge)
+    return shifted, difference
+
+
 def admissible_m_scan(params: ModelParams, L: int, eta: float,
                       m_grid) -> AdmissibleMScan:
     """Scan an m grid for the non-resonance conditions at scale (L, eta).
@@ -552,6 +574,9 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
       (4) |k.omega0 + mu_n - mu_n'| > eta over the admissible index pairs
           (|k| <= 2L; at least one of n, n' off-anchor, or both anchored
           with the non-degenerate frequency offset).
+    With mu in [lo, hi] per m, (3) and (4) evaluate a k != 0 only where
+    dist(-k.omega0, [lo, hi]) or |k.omega0| - (hi - lo) fails to clear eta
+    (``_survivors``); the verdicts are those of the full evaluation.
 
     Requires every anchor in the box |n| <= L and the alpha/theta
     Diophantine certificates at (L, L^(-3d)).
@@ -579,7 +604,8 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
 
     # (1) pair separation
     thr1 = (2.0 / math.pi**2) * float(L) ** (-6 * params.d)
-    cond1 = _smallest_gap(mus) >= thr1
+    gap = _smallest_gap(mus)
+    cond1 = gap >= thr1
     fails["separation"] = float(1.0 - cond1.mean())
     ok &= cond1
 
@@ -590,37 +616,50 @@ def admissible_m_scan(params: ModelParams, L: int, eta: float,
     fails["harmonic"] = float(1.0 - cond2.mean())
     ok &= cond2
 
-    # (3) shifted, over the cube of radius L minus the resonant set
-    kcube = box_vectors((0,) * params.b, (L,) * params.b)
-    cond3 = np.ones(nm, dtype=bool)
-    for kv in kcube:
+    # (3) and (4): k = 0 reads mu_n > eta and |mu_n - mu_n'| > eta, the
+    # column minimum and (1)'s gap; a k != 0 is evaluated only on the columns
+    # that its closed-form bound (_survivors) cannot clear
+    lo, hi = mus.min(axis=0), mus.max(axis=0)
+    cond3, cond4 = lo > eta, gap > eta
+    shifted = np.empty(komega.shape, dtype=bool)
+    difference = np.empty(komega.shape, dtype=bool)
+    for s in range(0, len(komega), len(space)):   # temporaries <= (Ns, nm)
+        block = slice(s, s + len(space))
+        shifted[block], difference[block] = _survivors(komega[block], lo, hi,
+                                                       eta)
+
+    # (3) over the cube of radius L minus the resonant set
+    shifted &= (np.abs(kvecs) <= L).all(axis=1)[:, None]
+    for t in np.flatnonzero(shifted.any(axis=1)):
+        kv, cols = kvecs[t], np.flatnonzero(shifted[t])
         rows = np.ones(len(space), dtype=bool)
         if np.abs(kv).sum() == 1:    # k = +-e_l: (k, n^(l)) is resonant
             rows[anchor_rows[int(np.argmax(kv != 0))]] = False
-        kw = kv.astype(float) @ om                    # (nm,)
-        cond3 &= (np.abs(kw + mus[rows]) > eta).all(axis=0)
+        kw = (kv.astype(float) @ om)[cols]
+        cond3[cols] &= (np.abs(kw + mus[np.ix_(rows, cols)]) > eta).all(axis=0)
     fails["shifted"] = float(1.0 - cond3.mean())
     ok &= cond3
 
     # (4) differences over the pairs i < j ((j, i, -k) repeats (i, j, k)),
     # one row i at a time so that no temporary exceeds (Ns, nm); for anchors
     # l and l' at rows i < j, k = e_l' - e_l vanishes identically: excluded
-    kall = np.vstack([np.zeros((1, params.b), dtype=int), kvecs])
-    kws = [kv.astype(float) @ om for kv in kall]      # each (nm,)
-    excluded = {}                # (i, index of k in kall) -> rows of diffs
+    excluded = {}                # (i, index of k in kvecs) -> rows of diffs
     for l, i in enumerate(anchor_rows, start=1):
         for lp, j in enumerate(anchor_rows, start=1):
             if i < j:
                 e = np.subtract(unit_k(lp, params.b), unit_k(l, params.b))
-                t = int(np.flatnonzero((kall == e).all(axis=1))[0])
+                t = int(np.flatnonzero((kvecs == e).all(axis=1))[0])
                 excluded.setdefault((i, t), []).append(j - i - 1)
-    cond4 = np.ones(nm, dtype=bool)
-    for i in range(len(space) - 1):
-        diffs = mus[i] - mus[i + 1:]                  # (pairs (i, j > i), nm)
-        for t, kw in enumerate(kws):
-            values = np.abs(kw + diffs)
+    for t in np.flatnonzero(difference.any(axis=1)):
+        cols = np.flatnonzero(difference[t] & cond4)
+        if not len(cols):
+            continue
+        kw = (kvecs[t].astype(float) @ om)[cols]
+        sub = mus[:, cols]
+        for i in range(len(space) - 1):
+            values = np.abs(kw + (sub[i] - sub[i + 1:]))
             values[excluded.get((i, t), [])] = np.inf
-            cond4 &= (values > eta).all(axis=0)
+            cond4[cols] &= (values > eta).all(axis=0)
     fails["difference"] = float(1.0 - cond4.mean())
     ok &= cond4
 

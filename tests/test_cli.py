@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpwave import cli
 
@@ -14,6 +16,90 @@ def run(args):
 @pytest.fixture
 def workdir(tmp_path):
     return tmp_path
+
+
+def reference_format_value(value, indent: int) -> str:
+    """The writer before its exact-type fast path: an isinstance ladder with
+    json.dumps for every key and string."""
+    pad = " " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        return format(v, ".17g") if math.isfinite(v) else "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = []
+        for key in sorted(value.keys(), key=str):
+            rows.append(f'{pad}  {json.dumps(str(key))}: '
+                        f'{reference_format_value(value[key], indent + 2)}')
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        items = list(value)
+        if not items:
+            return "[]"
+        flat = all(not isinstance(x, (dict, list, tuple, np.ndarray))
+                   for x in items)
+        if flat:
+            return "[" + ", ".join(reference_format_value(x, indent)
+                                   for x in items) + "]"
+        rows = [f"{pad}  {reference_format_value(x, indent + 2)}" for x in items]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters
+_texts = st.one_of(st.text(max_size=8),
+                   st.sampled_from(['"', '\\', 'a"b', "\n\t", "\x00\x1f",
+                                    "é", "θ₀", "\u2028", "😀", "'"]))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.1, 1e-320]),
+    _texts,
+    st.builds(np.float64, st.floats()), st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.int32, st.integers(-2**31, 2**31 - 1)))
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.floats(), max_size=4).map(np.array),
+        st.dictionaries(st.one_of(_texts, st.integers(-5, 5)), inner,
+                        max_size=4)),
+    max_leaves=20)
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_documents)
+    def test_dumps_matches_the_isinstance_ladder(self, doc):
+        assert cli.dumps(doc) == reference_format_value(doc, 0) + "\n"
+
+    def test_dumps_matches_on_edge_values(self):
+        doc = {"é\"k": ["θ", 'q"', True, 1, False, 0],
+               '"': {"\\": np.float64(0.1), "i": np.int64(-3),
+                     "f32": np.float32(1.5), "nan": np.float64(np.nan)},
+               "floats": [math.nan, math.inf, -math.inf, -0.0, 1e-320],
+               3: (None, "😀"), "arr": np.array([1.0, np.inf])}
+        text = cli.dumps(doc)
+        assert text == reference_format_value(doc, 0) + "\n"
+        assert text.isascii()
+        assert '"\\u00e9\\"k": ["\\u03b8", "q\\"", true, 1, false, 0]' in text
+        parsed = json.loads(text)
+        assert parsed["floats"] == [None, None, None, -0.0, 1e-320]
+        assert parsed['"']["nan"] is None and parsed["arr"] == [1.0, None]
+
+    def test_unknown_type_refused(self):
+        with pytest.raises(TypeError):
+            cli.dumps({"x": {1, 2}})
 
 
 class TestConfig:

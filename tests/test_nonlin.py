@@ -75,6 +75,27 @@ class TestDropRule:
         assert {(k, n): v for k, n, v in qa.canonical_items()} == \
             {key: v for key, v in ea.items() if v != 0.0 and abs(v) >= cut}
 
+    def test_overflow_to_nan_is_not_dropped(self):
+        q = field_from({((1,), (0,)): 1e300, ((0,), (0,)): -1e300})
+        infinite = q.add(q, 1e10)
+        assert sorted(v for _k, _n, v in infinite.canonical_items()) == \
+            [-math.inf, math.inf]
+        nan = infinite.add(infinite, -1.0)
+        assert len(nan) == 2
+        assert all(math.isnan(v) for _k, _n, v in nan.canonical_items())
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 1, 0)])
+    def test_cut_comes_from_the_finite_values(self, order):
+        entries = [(((0,), (0,)), math.nan), (((1,), (0,)), 1.0),
+                   (((2,), (0,)), 1e-20), (((3,), (0,)), math.inf)]
+        data = dict(entries[i] for i in order + (3,))
+        kept = {(k, n): v for k, n, v in
+                CoefficientField(data, 1, 1, _trusted=True).canonical_items()}
+        # 1e-20 lies below DROP * 1 and goes; NaN and inf stay, in order
+        assert list(kept) == [key for key in data if key != ((2,), (0,))]
+        assert math.isnan(kept[((0,), (0,))]) and kept[((1,), (0,))] == 1.0
+        assert kept[((3,), (0,))] == math.inf
+
 
 class TestCoefficientField:
     def test_canonical_storage_and_mirror_lookup(self):

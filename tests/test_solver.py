@@ -451,9 +451,18 @@ class TestOracleJacobian:
         x[:n] = (size * rng.uniform(-1.0, 1.0, n) * rate ** order
                  * (rng.random(n) < 0.8))
         x[n:] = omega0(params) * (1.0 + size * rng.uniform(-1.0, 1.0, b))
-        got = system.jacobian(x, system.field(x))
+        q = system.field(x)
+        got = system.jacobian(x, q)
         want = reference_jacobian(params, box, x)
         assert got.tobytes() == want.tobytes()
+        # the field skips from_entries: its keys must be canonical and
+        # distinct, and it must hold what from_entries would, in order
+        assert len(set(system.keys)) == len(system.keys)
+        assert all(canonical_k(k) == k for k, _n in system.keys)
+        entries = dict(system.frozen)
+        entries.update(zip(system.keys[:n], x[:n].tolist()))
+        checked = CoefficientField.from_entries(entries, b, d)
+        assert list(q.canonical_items()) == list(checked.canonical_items())
 
 
 class TestOracleEquivalence:

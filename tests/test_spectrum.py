@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpwave import (Certificate, FrequencyCombination, InvalidAnchors,
@@ -12,7 +12,8 @@ from qpwave import (Certificate, FrequencyCombination, InvalidAnchors,
                     check_theta_dc, cluster_count, cluster_scan, d_mu_dm, mu,
                     omega0, separation_certificate, sublevel_measure,
                     transversality_margin, wronskian_det, wronskian_matrix)
-from qpwave.spectrum import derivative_prefactor
+from qpwave.spectrum import (SURVIVOR_SLACK, _mu_array, _survivors,
+                             derivative_prefactor)
 
 from certify_reference import (reference_admissible_m_scan,
                                reference_cluster_scan,
@@ -456,15 +457,40 @@ def _outcome(fn, *args):
             result.theoretical_bound_feasible)
 
 
+def _certify_default(b, anchors):
+    """The certify scan's defaults (L = 5, eta = 1e-3, 2001 m points)."""
+    params = ModelParams(b=b, d=1, p=2, m=2.5, eps=1e-3, delta=1e-3,
+                         alpha=GOLDEN_ALPHA[:1], theta0=PRESET_THETA0,
+                         anchors=anchors, amplitudes=(1.0,) * b)
+    return params, 5, 1e-3, np.linspace(2.0, 3.0, 2001), 1e-2
+
+
 class TestCertifyReference:
     @settings(max_examples=60, deadline=None)
     @given(case=certify_cases())
+    @example(case=_certify_default(1, ((0,),)))
+    # k = e_2 - e_1 gives |k.omega0| <= hi - lo, so the bound never clears
+    # it, and the both-anchored exclusion sits on a surviving cell
+    @example(case=_certify_default(2, ((0,), (1,))))
     def test_sorted_gaps_and_unordered_pairs_match_pair_matrices(self, case):
         params, L, eta, m_grid, c_star = case
         assert _outcome(separation_certificate, params, L, c_star) == \
             _outcome(reference_separation_certificate, params, L, c_star)
         assert _outcome(admissible_m_scan, params, L, eta, m_grid) == \
             _outcome(reference_admissible_m_scan, params, L, eta, m_grid)
+
+    def test_ties_at_eta_fail_as_in_the_reference(self):
+        # eta equal to (1)'s gap or to the smallest mu ties k = 0 of (4) or
+        # (3), which the scan reads from those minima: a tie fails
+        params, L, _, _, _ = _certify_default(1, ((0,),))
+        grid = np.array([2.5])
+        mus = _mu_array(np.arange(-L, L + 1.0)[:, None], params, grid)[:, 0]
+        for eta, kind in ((np.diff(np.sort(mus)).min(), "difference"),
+                          (mus.min(), "shifted")):
+            assert _outcome(admissible_m_scan, params, L, eta, grid) == \
+                _outcome(reference_admissible_m_scan, params, L, eta, grid)
+            scan = admissible_m_scan(params, L, eta, grid)
+            assert scan.condition_fail_fractions[kind] == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(case=certify_cases(),
@@ -481,6 +507,85 @@ class TestCertifyReference:
             assert (worst, at) == reference_cluster_scan(params, L, eta, grid)
             if eta == 0.0:    # no centre lies inside an empty interval
                 assert (worst, at) == (0, grid[0])
+
+
+def _nudge(x: float, ulps: int) -> float:
+    """x moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def survivor_cells(draw):
+    """(kw, mus, eta, clear) for ``_survivors``: k.omega0 rows (K, nc) over
+    columns of mu (Ns, nc).  Each kw sits within 4 ulps of the edge of one
+    bound, at eta (``level`` 0), at the slack edge (1) or past it by a
+    second slack (2: ``clear`` names the mask that must skip the cell).
+    Column values include lo and hi themselves and values a few ulps from
+    them, so pair differences reach down to 0 and 1 ulp."""
+    eta = draw(st.sampled_from([0.0, 1e-4, 1e-3, 0.1, 0.3]))
+    K, nc, Ns = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                 draw(st.integers(2, 6)))
+    mus, kw = np.empty((Ns, nc)), np.empty((K, nc))
+    clear = np.full((K, nc), "", dtype=object)
+    for c in range(nc):
+        lo = draw(st.floats(0.5, 2.0))
+        hi = draw(st.one_of(st.just(lo), st.floats(lo, lo + 0.75),
+                            st.integers(1, 4).map(lambda j: _nudge(lo, j))))
+        inner = [min(max(draw(st.one_of(
+            st.floats(lo, hi), st.integers(0, 3).map(lambda j: _nudge(lo, j)),
+            st.integers(0, 3).map(lambda j: _nudge(hi, -j)))), lo), hi)
+            for _ in range(Ns - 2)]
+        mus[:, c] = draw(st.permutations([lo, hi] + inner))
+        for r in range(K):
+            kind = draw(st.sampled_from(["shift+", "shift-", "diff+", "diff-"]))
+            level = draw(st.sampled_from([0, 1, 2]))
+            S = level * SURVIVOR_SLACK
+            if kind == "shift+":      # kw + lo = eta + S (1 + |kw| + hi)
+                top = eta + S * (1.0 + hi) - lo
+                x = top / (1.0 - S) if top >= 0.0 else top / (1.0 + S)
+            elif kind == "shift-":    # kw + hi = -(eta + S (1 + |kw| + hi))
+                x = -(eta + S * (1.0 + hi) + hi) / (1.0 - S)
+            else:                     # |kw| - (hi - lo) = eta + S (...)
+                x = (eta + S * (1.0 + hi) + (hi - lo)) / (1.0 - S)
+                x = x if kind == "diff+" else -x
+            kw[r, c] = _nudge(x, draw(st.integers(-4, 4)))
+            if level == 2:
+                clear[r, c] = "shifted" if kind[0] == "s" else "difference"
+    return kw, mus, eta, clear
+
+
+class TestSurvivors:
+    @settings(max_examples=300, deadline=None)
+    @given(case=survivor_cells())
+    def test_every_skipped_cell_clears_eta(self, case):
+        # a skipped cell passes the scan's exact expressions for every n
+        # and every pair n != n', also at a k.omega0 a few ulps away (the
+        # scan's own product may round differently from condition (2)'s)
+        kw, mus, eta, clear = case
+        shifted, difference = _survivors(kw, mus.min(axis=0),
+                                         mus.max(axis=0), eta)
+        off = ~np.eye(len(mus), dtype=bool)
+        for r, c in np.ndindex(kw.shape):
+            pairs = (mus[:, None, c] - mus[None, :, c])[off]
+            for w in (_nudge(kw[r, c], j) for j in range(-4, 5)):
+                if not shifted[r, c]:
+                    assert (np.abs(w + mus[:, c]) > eta).all()
+                if not difference[r, c]:
+                    assert (np.abs(w + pairs) > eta).all()
+        # and the bound does skip what clears it by a margin
+        assert not shifted[clear == "shifted"].any()
+        assert not difference[clear == "difference"].any()
+
+    def test_nan_keeps_its_cells(self):
+        mus = np.array([[1.0, 1.0, np.nan], [1.5, np.nan, 1.2]])
+        kw = np.array([[5.0, 5.0, 5.0], [-9.0, -9.0, -9.0], [np.nan] * 3])
+        shifted, difference = _survivors(kw, mus.min(axis=0), mus.max(axis=0),
+                                         1e-3)
+        assert (shifted[:, 1:] & difference[:, 1:]).all()
+        assert (shifted[2] & difference[2]).all()
+        assert not (shifted[:2, 0] | difference[:2, 0]).any()
 
 
 class TestClusterCount:
