@@ -317,8 +317,8 @@ def run_certify(cfg: dict, out_dir: Path) -> int:
               "certificates": {}, "gates": {}}
     certs = bundle["certificates"]
 
-    alpha_cert = spectrum.check_alpha_dc(params.alpha, L, c_star)
-    theta_cert = spectrum.check_theta_dc(params.theta0, params.alpha, L, c_star)
+    alpha_cert, theta_cert = spectrum.diophantine_certificates(params, L,
+                                                               c_star)
     certs["alpha_dc"] = certificate_dict(alpha_cert)
     certs["theta_dc"] = certificate_dict(theta_cert)
     gates = {"alpha_dc": alpha_cert.passed, "theta_dc": theta_cert.passed}

@@ -18,10 +18,13 @@ assembly on their union; bad fractions are compared with exp(-M^rho1).
 What depends only on (M, b, d, resonant set, region cap) is computed once:
 ``elementary_region_family`` keeps the last FAMILY_MEMO families with the
 index of their union, each region keeps its ``index_map`` and each index
-keeps its assembly pattern (``RegionIndex.distinct`` and ``pairs``).  Every
-call to ``_entries_on`` (so ``assemble``, ``green`` and ``lde_scan``)
-recomputes k.omega, mu_n^2 and the entry values from sigma, omega, the
-model and the kernel.
+keeps its assembly pattern (``RegionIndex.distinct`` and ``pairs``).  Each
+family also keeps its last FAMILY_MEMO block plans (``_ScanPlan``), one per
+nonzero pattern of the union, partition of its rows by k.omega, gamma' and
+M^rho3.  Every call to ``_entries_on`` (so ``assemble``, ``green`` and
+``lde_scan``) recomputes k.omega, mu_n^2 and the entry values from sigma,
+omega, the model and the kernel, and ``lde_scan`` gathers them into the
+plan.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import scipy.sparse as sp
 
 from .errors import (PreconditionFailed, RegionTooLarge, Singular,
                      cast_number, check_ranges)
-from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, index_map,
-                      neighbor_offsets)
+from .lattice import (RegionIndex, RegionSpec, ResonantSet, Site, _read_only,
+                      index_map, neighbor_offsets)
 from .nonlin import CoefficientField
 from .spectrum import ModelParams, mu
 
@@ -49,7 +52,8 @@ DECAY_FIT_FLOOR = 1e-30    # smaller magnitudes are left out of a decay fit
 MAX_FAMILY_REGIONS = 64
 # region families kept by elementary_region_family, least recently used out
 FAMILY_MEMO = 8
-# bytes of one stack of coupled-block matrices in the LDE scan
+# bytes of one stack of block matrices, or of one (sigma x eigenvalue) array
+# of a run of regions, in the LDE scan
 BATCH_BYTES = 1 << 20
 # caps an LDE scan region at n sites with 8 n^2 <= REGION_BYTES (1448 sites)
 REGION_BYTES = 1 << 24
@@ -259,10 +263,11 @@ def green_matrix(spec: OperatorSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Family(NamedTuple):
-    """A region family and the index of its union: the distinct member
-    vectors of its regions, in lexicographic order."""
+    """A region family, the index of its union (the distinct member vectors
+    of its regions, in lexicographic order) and its LDE scan plans."""
     regions: tuple
     union: RegionIndex
+    plans: dict
 
 
 def elementary_region_family(M: int, b: int, d: int,
@@ -312,7 +317,8 @@ def _region_family(M: int, b: int, d: int, excluded: Optional[ResonantSet],
         family.append(spec)
         if len(family) >= max_regions:
             break
-    return _Family(tuple(family), RegionIndex(_family_vectors(family), b))
+    return _Family(tuple(family), RegionIndex(_family_vectors(family), b),
+                   {})
 
 
 def _family_vectors(family: Sequence[RegionSpec]) -> np.ndarray:
@@ -376,6 +382,24 @@ def _chunks(count: int, size: int) -> list:
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
+def _runs(cut: np.ndarray, width: int) -> list:
+    """Runs [a, z) of consecutive items, item i holding cut[i+1] - cut[i]
+    columns of ``width`` floats, whose columns stay within BATCH_BYTES (one
+    item at least)."""
+    step = max(1, BATCH_BYTES // (8 * width))
+    runs, a = [], 0
+    while a < len(cut) - 1:
+        z = max(a + 1, int(np.searchsorted(cut, cut[a] + step, "right")) - 1)
+        runs.append((a, z))
+        a = z
+    return runs
+
+
+def _within(keys: np.ndarray, sl: slice) -> slice:
+    """Where the sorted ``keys`` lie in [sl.start, sl.stop)."""
+    return slice(*np.searchsorted(keys, (sl.start, sl.stop)))
+
+
 def _groups(keys: np.ndarray, count: int) -> tuple:
     """Items grouped by an int key in range(count): their stable order by
     key, each item's rank within its key, and where each key's items end in
@@ -388,28 +412,28 @@ def _groups(keys: np.ndarray, count: int) -> tuple:
     return order, rank, ends
 
 
-def _restrict_family(union: _Entries, family: Sequence[RegionSpec]) -> tuple:
-    """The union's entries on the family's regions side by side, each in its
-    own row order: every row's union row and region, and the rows, cols and
-    values of the nonzero off-diagonal entries.  Entries depend only on
-    their sites, so each region's part is its own assembly."""
-    at = union.index.lookup(np.concatenate([r.vectors() for r in family]))
+def _restrict_family(index: RegionIndex, rows: np.ndarray, cols: np.ndarray,
+                     family: Sequence[RegionSpec]) -> tuple:
+    """The off-diagonal pattern ``rows``, ``cols`` on the union ``index``,
+    restricted to the family's regions side by side, each in its own row
+    order: every row's union row and region, and the rows and cols of the
+    restricted entries with the position of each in ``rows``.  Entries
+    depend only on their sites, so each region's part is its own assembly."""
+    at = index.lookup(np.concatenate([r.vectors() for r in family]))
     region = np.repeat(np.arange(len(family)), [r.size() for r in family])
-    edge = union.vals != 0.0
-    rows, cols, vals = union.rows[edge], union.cols[edge], union.vals[edge]
-    by_row, _, row_end = _groups(rows, union.index.size)
+    by_row, _, row_end = _groups(rows, index.size)
     # each row's union entries, then the same region's row at their columns
     deg = np.diff(row_end, prepend=0)[at]
     src = np.repeat(np.arange(len(at)), deg)
     e = by_row[np.repeat(row_end[at] - np.cumsum(deg), deg)
                + np.arange(deg.sum())]
-    key = region * union.index.size + at
-    target = region[src] * union.index.size + cols[e]
+    key = region * index.size + at
+    target = region[src] * index.size + cols[e]
     sorter = np.argsort(key)
     dst = sorter[np.minimum(np.searchsorted(key, target, sorter=sorter),
                             len(key) - 1)]
     hit = key[dst] == target
-    return at, region, src[hit], dst[hit], vals[e[hit]]
+    return at, region, src[hit], dst[hit], e[hit]
 
 
 def _cross_reach(lo: np.ndarray, hi: np.ndarray, group: np.ndarray,
@@ -431,17 +455,60 @@ def _cross_reach(lo: np.ndarray, hi: np.ndarray, group: np.ndarray,
     return reach
 
 
+class _RigidStack(NamedTuple):
+    """The family's rigid blocks of one size s, in label order: their union
+    rows (blocks, s), their nonzero off-diagonal entries (block, i, j, place
+    among the union's nonzero entries) and their far pairs i < j (block, i,
+    j), both sorted by block."""
+    rows: np.ndarray
+    entries: np.ndarray
+    pairs: np.ndarray
+
+    def eigen(self, diag: np.ndarray, vals: np.ndarray) -> tuple:
+        """The blocks' eigenvalues zeta, block by block, and the weights
+        V_il V_jl of their far pairs, pair by pair, from one eigh per
+        BATCH_BYTES chunk of the sigma = -k.omega matrices with the union's
+        diagonal ``diag`` and nonzero entries ``vals``."""
+        s = self.rows.shape[1]
+        on_diag = np.arange(s)
+        zeta, weights = [], []
+        for sl in _chunks(len(self.rows), s):
+            mats = np.zeros((len(self.rows[sl]), s, s))
+            mats[:, on_diag, on_diag] = diag[self.rows[sl]]
+            blk, i, j, e = self.entries[:, _within(self.entries[0], sl)]
+            mats[blk - sl.start, i, j] = vals[e]
+            z, v = np.linalg.eigh(mats)
+            blk, i, j = self.pairs[:, _within(self.pairs[0], sl)]
+            blk = blk - sl.start
+            zeta.append(z.ravel())
+            weights.append((v[blk, i, :] * v[blk, j, :]).ravel())
+        return zeta, weights
+
+
+class _CoupledSites(NamedTuple):
+    """A coupled block of the family: its union rows, its nonzero
+    off-diagonal entries (i, j, place among the union's nonzero entries),
+    its far pairs in row-major order as (i, column of ``columns``), the
+    identity's columns j that hold a far pair, and exp(-gamma' |j-j'|) on
+    the far pairs."""
+    rows: np.ndarray
+    entries: np.ndarray
+    far: np.ndarray
+    columns: np.ndarray
+    decay_bound: np.ndarray
+
+
 @dataclass(frozen=True)
 class _CoupledBlock:
-    """A connected block whose sites carry several k.omega.  Its diagonal
-    moves non-uniformly with sigma, so it is assembled at each sigma."""
+    """A connected block whose sites carry several k.omega: its sites and
+    one scan's values.  Its diagonal moves non-uniformly with sigma, so it
+    is assembled at each sigma."""
 
+    sites: _CoupledSites
     offdiag: np.ndarray
     mu2: np.ndarray
     rest: np.ndarray          # kernel's phi(0, n) part of the diagonal
     kw: np.ndarray
-    far: np.ndarray           # far-pair mask within the block
-    decay_bound: np.ndarray   # exp(-gamma' |j-j'|) on the far pairs
 
     def at(self, sigmas: np.ndarray) -> np.ndarray:
         """The block at each of ``sigmas``, stacked (len(sigmas), s, s)."""
@@ -452,13 +519,16 @@ class _CoupledBlock:
         return a
 
     def margin(self, sigma_grid: np.ndarray, where: np.ndarray) -> np.ndarray:
-        """Per sigma, min of decay_bound - |G| over the far pairs, from one
-        inv per chunk of the sigmas ``where`` holds; inf at the others."""
+        """Per sigma, min of decay_bound - |G| over the far pairs, inf where
+        ``where`` is False.  G is solved only on the columns that hold a far
+        pair, one solve per chunk of the sigmas."""
         out = np.full(len(sigma_grid), np.inf)
-        at = np.flatnonzero(where) if self.far.any() else np.zeros(0, int)
+        i, col = self.sites.far
+        at = np.flatnonzero(where) if len(i) else np.zeros(0, int)
         for sl in _chunks(len(at), len(self.kw)):
-            g = np.linalg.inv(self.at(sigma_grid[at[sl]]))[:, self.far]
-            out[at[sl]] = (self.decay_bound - np.abs(g)).min(axis=1)
+            g = np.linalg.solve(self.at(sigma_grid[at[sl]]),
+                                self.sites.columns)[:, i, col]
+            out[at[sl]] = (self.sites.decay_bound - np.abs(g)).min(axis=1)
         return out
 
     def extent(self, sigma_grid: np.ndarray) -> tuple:
@@ -470,86 +540,157 @@ class _CoupledBlock:
         return lo, hi
 
 
-def _family_blocks(union: _Entries, family: Sequence[RegionSpec],
-                   rate_req: float, min_dist: float) -> tuple:
-    """Every family region's blocks, found at once: the distinct coupled
-    blocks and, per region, the cross-block bound; its rigid blocks'
-    eigenvalues zeta, their k.omega, the bounds of its rigid far pairs i < j
-    and the (zeta, pair) rows, cols and values V_il V_jl of the weights, by
-    (block size, block, l or i, j); the indices of its coupled blocks."""
-    at, region, rows, cols, vals = _restrict_family(union, family)
-    kw, mu2, vecs = union.kw[at], union.mu2[at], union.index.vectors[at]
-    rest = (union.diag - (union.mu2 - union.kw**2))[at]
-    labels = _components(len(at), rows, cols)
+class _ScanPlan(NamedTuple):
+    """A family's blocks, laid out for ``lde_scan``.  Each region's rigid
+    eigenvalues zeta, rigid far pairs and (zeta x pair) weight matrix lie at
+    cut[r]:cut[r+1] of the region-ordered arrays ``zeta_cut``, ``pair_cut``
+    and ``weight_cut``; ``zeta_order`` puts the stacks' zeta in region order,
+    ``zeta_rows`` are their union rows and ``weight_at`` the places of the
+    stacks' weights.  ``cross`` is each region's cross-block bound, and
+    ``members`` the (region, coupled block) pairs."""
+    stacks: tuple
+    zeta_order: np.ndarray
+    zeta_rows: np.ndarray
+    zeta_cut: np.ndarray
+    pair_bound: np.ndarray
+    pair_cut: np.ndarray
+    weight_at: np.ndarray
+    weight_cut: np.ndarray
+    cross: np.ndarray
+    coupled: tuple
+    members: np.ndarray
+
+    def values(self, union: _Entries, vals: np.ndarray) -> tuple:
+        """The blocks at the union's entries (``vals`` its nonzero
+        off-diagonal ones): zeta in region order, their k.omega, every
+        region's weights end to end, and the coupled blocks."""
+        rest = union.diag - (union.mu2 - union.kw**2)
+        diag = union.mu2 + rest
+        zeta, weights = [np.zeros(0)], [np.zeros(0)]
+        for stack in self.stacks:
+            z, w = stack.eigen(diag, vals)
+            zeta += z
+            weights += w
+        flat = np.zeros(self.weight_cut[-1])
+        flat[self.weight_at] = np.concatenate(weights)
+        blocks = []
+        for sites in self.coupled:
+            s = len(sites.rows)
+            offdiag = np.zeros((s, s))
+            i, j, e = sites.entries
+            offdiag[i, j] = vals[e]
+            blocks.append(_CoupledBlock(sites, offdiag, union.mu2[sites.rows],
+                                        rest[sites.rows],
+                                        union.kw[sites.rows]))
+        return (np.concatenate(zeta)[self.zeta_order],
+                union.kw[self.zeta_rows], flat, blocks)
+
+
+def _scan_plan(index: RegionIndex, rows: np.ndarray, cols: np.ndarray,
+               kw: np.ndarray, family: Sequence[RegionSpec], rate_req: float,
+               min_dist: float) -> _ScanPlan:
+    """Every family region's blocks, found at once from the union's nonzero
+    off-diagonal pattern ``rows``, ``cols`` and its rows' k.omega: the
+    regions' entries lie side by side, one min-label propagation splits
+    them into blocks, and a block is rigid when its k.omega are equal."""
+    at, region, src, dst, entry = _restrict_family(index, rows, cols, family)
+    kw, vecs = kw[at], index.vectors[at]
+    labels = _components(len(at), src, dst)
     order, pos, ends = _groups(labels, labels.max() + 1)
     size = np.diff(ends, prepend=0)
     start = ends - size
-    block_region, block_of_entry = region[order[start]], labels[rows]
+    block_region = region[order[start]]
     rigid = np.minimum.reduceat(kw[order], start) \
         == np.maximum.reduceat(kw[order], start)
     reach = _cross_reach(np.minimum.reduceat(vecs[order], start),
                          np.maximum.reduceat(vecs[order], start),
                          block_region, len(family))
     cross = np.where(reach >= min_dist, np.exp(-rate_req * reach), np.inf)
+    block_of = labels[src]
+    entries = np.stack([block_of, pos[src], pos[dst], entry])[
+        :, np.argsort(block_of, kind="stable")]
 
-    def rigid_stack(blk, s):
-        # blocks blk of size s: their rows (the l-th holds zeta_l); per far
-        # pair a row, size and bound; per weight its zeta's row and value
-        diag = np.arange(s)
-        nodes = order[start[blk][:, None] + diag]
-        e = np.flatnonzero(np.isin(block_of_entry, blk))
-        mats = np.zeros((len(blk), s, s))
-        mats[:, diag, diag] = mu2[nodes] + rest[nodes]
-        mats[np.searchsorted(blk, block_of_entry[e]), pos[rows[e]],
-             pos[cols[e]]] = vals[e]
-        z, v = np.linalg.eigh(mats)
-        dists = _pair_distances(vecs[nodes])
-        b, i, j = np.nonzero(np.triu(dists >= min_dist))
-        return (nodes.ravel(), z.ravel(), nodes[b, 0], np.full(len(b), s),
-                np.exp(-rate_req * dists[b, i, j]), nodes[b].ravel(),
-                (v[b, i, :] * v[b, j, :]).ravel())
-
-    none, empty = np.zeros(0, dtype=int), np.zeros(0)
-    stacks = [(none, empty, none, none, empty, none, empty)] + [
-        rigid_stack(ids[sl], s) for s in np.unique(size[rigid])
-        for ids in [np.flatnonzero(rigid & (size == s))]
-        for sl in _chunks(len(ids), s)]
-    z_node, zeta, p_node, p_size, bound, w_node, w_val = map(
-        np.concatenate, zip(*stacks))
+    # per rigid block size: the blocks' rows; per far pair its block's first
+    # row, size and bound; per weight (pair, l) the row of zeta_l
+    stacks = []
+    z_node, p_node, p_size, w_node = ([np.zeros(0, int)] for _ in range(4))
+    bound = [np.zeros(0)]
+    for s in np.unique(size[rigid]):
+        ids = np.flatnonzero(rigid & (size == s))
+        nodes = order[start[ids][:, None] + np.arange(s)]
+        e = entries[:, np.isin(entries[0], ids)]
+        e[0] = np.searchsorted(ids, e[0])
+        pairs = [np.zeros((3, 0), int)]
+        for sl in _chunks(len(ids), s):
+            dists = _pair_distances(vecs[nodes[sl]])
+            blk, i, j = np.nonzero(np.triu(dists >= min_dist))
+            pairs.append(np.stack([blk + sl.start, i, j]))
+            bound.append(np.exp(-rate_req * dists[blk, i, j]))
+        pairs = np.concatenate(pairs, axis=1)
+        stacks.append(_RigidStack(at[nodes], e, pairs))
+        z_node.append(nodes.ravel())
+        p_node.append(nodes[pairs[0], 0])
+        p_size.append(np.full(pairs.shape[1], s))
+        w_node.append(nodes[pairs[0]].ravel())
+    z_node, p_node, p_size, bound, w_node = map(
+        np.concatenate, (z_node, p_node, p_size, bound, w_node))
     z_order, z_rank, z_end = _groups(region[z_node], len(family))
     p_order, p_rank, p_end = _groups(region[p_node], len(family))
-    w_order, _, w_end = _groups(region[w_node], len(family))
     row_of = np.empty(len(at), dtype=int)
     row_of[z_node] = z_rank
+    n_zeta, n_pair = np.diff(z_end, prepend=0), np.diff(p_end, prepend=0)
+    weight_cut = np.concatenate([[0], np.cumsum(n_zeta * n_pair)])
     w_pair = np.repeat(np.arange(len(p_node)), p_size)
-
-    def per_region(x, end):
-        # the slices of x that end at each region's end
-        cut = [0, *end.tolist()]
-        return [x[a:z] for a, z in zip(cut, cut[1:])]
-
-    rigid_parts = [per_region(x, end) for x, end in (
-        (zeta[z_order], z_end), (kw[z_node[z_order]], z_end),
-        (bound[p_order], p_end), (row_of[w_node[w_order]], w_end),
-        (p_rank[w_pair[w_order]], w_end), (w_val[w_order], w_end))]
+    w_region = region[w_node]
+    weight_at = weight_cut[w_region] + row_of[w_node] * n_pair[w_region] \
+        + p_rank[w_pair]
 
     # one coupled block per distinct site set, shared by the regions holding it
-    blocks, shared, coupled = [], {}, [[] for _ in family]
+    coupled, shared, members = [], {}, []
     for c in np.flatnonzero(~rigid):
         nodes = order[start[c]:ends[c]]
         key = at[nodes].tobytes()
         if key not in shared:
-            e = np.flatnonzero(block_of_entry == c)
-            offdiag = np.zeros((size[c], size[c]))
-            offdiag[pos[rows[e]], pos[cols[e]]] = vals[e]
+            shared[key] = len(coupled)
             dists = _pair_distances(vecs[nodes])
             far = dists >= min_dist
-            shared[key] = len(blocks)
-            blocks.append(_CoupledBlock(offdiag, mu2[nodes], rest[nodes],
-                                        kw[nodes], far,
-                                        np.exp(-rate_req * dists[far])))
-        coupled[block_region[c]].append(shared[key])
-    return blocks, list(zip(cross, *rigid_parts, coupled))
+            i, j = np.nonzero(far)
+            columns, col = np.unique(j, return_inverse=True)
+            coupled.append(_CoupledSites(
+                at[nodes], entries[1:, entries[0] == c], np.stack([i, col]),
+                np.eye(size[c])[:, columns], np.exp(-rate_req * dists[far])))
+        members.append((block_region[c], shared[key]))
+    plan = _ScanPlan(
+        tuple(stacks), z_order, at[z_node[z_order]],
+        np.concatenate([[0], z_end]), bound[p_order],
+        np.concatenate([[0], p_end]), weight_at, weight_cut, cross,
+        tuple(coupled), np.array(members, dtype=int).reshape(-1, 2).T)
+    for part in (plan, *plan.stacks, *plan.coupled):
+        _read_only(*(a for a in part if isinstance(a, np.ndarray)))
+    return plan
+
+
+def _family_plan(family: _Family, union: _Entries, rate_req: float,
+                 min_dist: float) -> tuple:
+    """The family's scan plan for the union's entries, and their nonzero
+    off-diagonal values.  A plan is kept per nonzero pattern, partition of
+    the rows by k.omega, gamma' and M^rho3, the last FAMILY_MEMO of each
+    family."""
+    edge = union.vals != 0.0
+    rows, cols = union.rows[edge], union.cols[edge]
+    # np.unique puts every NaN in one class, but a block holding a NaN
+    # k.omega is never rigid, so the NaN rows are part of the key
+    key = (rate_req, min_dist, rows.tobytes(), cols.tobytes(),
+           np.unique(union.kw, return_inverse=True)[1].tobytes(),
+           np.isnan(union.kw).tobytes())
+    plan = family.plans.pop(key, None)
+    if plan is None:
+        plan = _scan_plan(union.index, rows, cols, union.kw, family.regions,
+                          rate_req, min_dist)
+        if len(family.plans) >= FAMILY_MEMO:
+            del family.plans[next(iter(family.plans))]
+    family.plans[key] = plan
+    return plan, union.vals[edge]
 
 
 def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
@@ -570,14 +711,21 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
 
     The scan runs once per family: the regions' entries, restricted from
     one assembly on the family's union, lie side by side, and one min-label
-    propagation splits them into every region's connected blocks.  Sigma
-    enters H only on the diagonal, as -(sigma + k.omega)^2, so the inverse
-    vanishes between blocks.  A block on one k.omega (every block when
-    eps = delta = 0) is rigid: the eigenpairs of its sigma = -k.omega
-    matrix, from one eigh per block size and BATCH_BYTES chunk, give its
-    eigenvalues and far-pair Green's entries on the whole grid.  A coupled
-    block gets one eigvalsh per sigma chunk and distinct site set and, with
-    far pairs, one inv per sigma where any region holding it passes the
+    propagation splits them into every region's connected blocks.  That
+    block plan depends only on the union's nonzero pattern, the partition
+    of its rows by k.omega, gamma' and M^rho3, and is kept with the family
+    for the next scan with the same ones (``_family_plan``); each scan
+    gathers its entry values into it.  Sigma enters H only on the diagonal,
+    as -(sigma + k.omega)^2, so the inverse vanishes between blocks.  A
+    block on one k.omega (every block when eps = delta = 0) is rigid: the
+    eigenpairs of its sigma = -k.omega matrix, from one eigh per block size
+    and BATCH_BYTES chunk, give its eigenvalues and far-pair Green's entries
+    on the whole grid.  All regions' rigid eigenvalues are taken together,
+    in runs of regions within BATCH_BYTES, for the min and max |eig| per
+    (sigma, region); each region's far-pair entries are one product of its
+    1/eig with its weights.  A coupled block gets one eigvalsh per sigma
+    chunk and distinct site set and, with far pairs, one solve for the
+    columns that hold them per sigma where any region holding it passes the
     norm checks (a region that fails them is bad whatever its G is).  Min
     and max |eig| over a region's blocks feed the singular guard.  Far pairs
     across blocks have G = 0 and enter as exp(-gamma' D), in closed form
@@ -592,8 +740,9 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
             f"derived gamma_prime = gamma - M^-0.2 = {params.gamma!r} - "
             f"{M}^-0.2 = {rate_req:.6g} is not positive; set "
             f"scan.gamma_prime to a positive decay rate")
-    family, union = _region_family(M, params.b, params.d,
-                                   params.resonant_set(), max_regions)
+    fam = _region_family(M, params.b, params.d, params.resonant_set(),
+                         max_regions)
+    family = fam.regions
     subsampled = len(family) >= max_regions
     largest = max(len(region.vectors()) for region in family)
     if 8 * largest**2 > REGION_BYTES:
@@ -606,46 +755,58 @@ def lde_scan(M: int, params: ModelParams, omega: Sequence[float],
     sigma_grid = np.asarray(sigma_grid, dtype=float)
     window = (float(sigma_grid.min()), float(sigma_grid.max()))
 
-    worst_norm = np.zeros(len(sigma_grid))
-    worst_decay = np.full(len(sigma_grid), np.inf)
-    bad = np.zeros(len(sigma_grid), dtype=bool)
-    blocks, regions = _family_blocks(
-        _entries_on(union, 0.0, omega, params, kernel), family, rate_req,
-        min_dist)
-    extents = [block.extent(sigma_grid) for block in blocks]
-    scanned = []
-    for cross, zeta, zeta_kw, bound, w_rows, w_cols, w_val, coupled in regions:
-        eig = zeta - (sigma_grid[:, None] + zeta_kw) ** 2
-        abs_eig = np.abs(eig)
-        smallest = np.min([abs_eig.min(axis=1, initial=np.inf)]
-                          + [extents[c][0] for c in coupled], axis=0)
-        largest = np.max([abs_eig.max(axis=1, initial=0.0)]
-                         + [extents[c][1] for c in coupled], axis=0)
-        singular = _is_singular(smallest, largest)
-        with np.errstate(divide="ignore"):
-            norm = np.where(singular, np.inf, 1.0 / smallest)
-        ok = ~singular & (norm <= norm_bound)
+    union = _entries_on(fam.union, 0.0, omega, params, kernel)
+    plan, vals = _family_plan(fam, union, rate_req, min_dist)
+    zeta, zeta_kw, weights, blocks = plan.values(union, vals)
+    shape = (len(sigma_grid), len(family))
+    smallest, largest = np.full(shape, np.inf), np.zeros(shape)
+    margin = np.repeat(plan.cross[None], len(sigma_grid), axis=0)
+    z_cut, p_cut, w_cut = (c.tolist() for c in (
+        plan.zeta_cut, plan.pair_cut, plan.weight_cut))
+    for first, last in _runs(plan.zeta_cut, len(sigma_grid)):
+        # eig = zeta - (sigma + k.omega)^2, formed in place in one array
+        a, z = z_cut[first], z_cut[last]
+        eig = np.add.outer(sigma_grid, zeta_kw[a:z])
+        np.subtract(zeta[a:z], np.square(eig, out=eig), out=eig)
+        # one product per region: its bits depend on the operands' shapes
+        for r in range(first, last):
+            if p_cut[r] == p_cut[r + 1]:
+                continue
+            w = weights[w_cut[r]:w_cut[r + 1]].reshape(
+                z_cut[r + 1] - z_cut[r], p_cut[r + 1] - p_cut[r])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.abs((1.0 / eig[:, z_cut[r] - a:z_cut[r + 1] - a]) @ w)
+            margin[:, r] = np.minimum(plan.cross[r], (
+                plan.pair_bound[p_cut[r]:p_cut[r + 1]] - g).min(axis=1))
+        # a region without rigid blocks keeps its inf and 0
+        held = first + np.flatnonzero(np.diff(plan.zeta_cut[first:last + 1]))
+        if len(held):
+            abs_eig = np.abs(eig, out=eig)
+            at = plan.zeta_cut[held] - a
+            smallest[:, held] = np.minimum.reduceat(abs_eig, at, axis=1)
+            largest[:, held] = np.maximum.reduceat(abs_eig, at, axis=1)
 
-        weights = np.zeros((len(zeta), len(bound)))
-        weights[w_rows, w_cols] = w_val
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.abs((1.0 / eig) @ weights)
-        margin = np.minimum(cross, (bound - g).min(axis=1, initial=np.inf))
-        scanned.append((norm, ok, margin, coupled))
+    region_of, block_of = plan.members
+    extents = np.array([block.extent(sigma_grid) for block in blocks])
+    extents = extents.reshape(len(blocks), 2, len(sigma_grid))
+    np.minimum.at(smallest.T, region_of, extents[block_of, 0])
+    np.maximum.at(largest.T, region_of, extents[block_of, 1])
+    singular = _is_singular(smallest, largest)
+    with np.errstate(divide="ignore"):
+        norm = np.where(singular, np.inf, 1.0 / smallest)
+    ok = ~singular & (norm <= norm_bound)
 
-    # a coupled block is inverted once per sigma where a region holding it
+    # a coupled block is solved once per sigma where a region holding it
     # passes the norm checks; elsewhere its regions are bad whatever G is
     passing = np.zeros((len(blocks), len(sigma_grid)), dtype=bool)
-    for _, ok, _, coupled in scanned:
-        passing[coupled] |= ok
-    block_margins = [block.margin(sigma_grid, at)
-                     for block, at in zip(blocks, passing)]
-    for norm, ok, margin, coupled in scanned:
-        for c in coupled:
-            margin = np.minimum(margin, block_margins[c])
-        worst_norm = np.maximum(worst_norm, norm)
-        worst_decay = np.where(ok, np.minimum(worst_decay, margin), worst_decay)
-        bad |= ~ok | (margin < 0.0)
+    np.logical_or.at(passing, block_of, ok.T[region_of])
+    block_margin = np.array([block.margin(sigma_grid, at)
+                             for block, at in zip(blocks, passing)])
+    np.minimum.at(margin.T, region_of,
+                  block_margin.reshape(passing.shape)[block_of])
+    worst_norm = norm.max(axis=1, initial=0.0)
+    worst_decay = np.where(ok, margin, np.inf).min(axis=1)
+    bad = (~ok | (margin < 0.0)).any(axis=1)
 
     frac = float(bad.mean())
     # runs of bad flags start and end where the padded flags change

@@ -17,6 +17,7 @@ rather than gated on unknown constants.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -223,12 +224,28 @@ def check_theta_dc(theta0: float, alpha: Sequence[float], L: int, c_star: float,
         vecs, attained, c_star if mode == "fixed" else float(L) ** (-3 * dd))
 
 
+def diophantine_certificates(params: ModelParams, L: int,
+                             c_star: float) -> tuple:
+    """The alpha and theta0 Diophantine certificates at (L, c_star), fixed
+    mode.  The last few are kept per (alpha, theta0, L, c_star), so that a
+    certify computes each once for its own report and for the preconditions
+    of ``separation_certificate`` and ``admissible_m_scan``; each call gets
+    its own ``inputs`` dicts."""
+    return tuple(dataclasses.replace(c, inputs=dict(c.inputs)) for c in
+                 _diophantine(params.alpha, params.theta0, L, c_star))
+
+
+@functools.lru_cache(maxsize=4)
+def _diophantine(alpha: tuple, theta0: float, L: int, c_star: float) -> tuple:
+    return (check_alpha_dc(alpha, L, c_star),
+            check_theta_dc(theta0, alpha, L, c_star))
+
+
 def _require_diophantine(params: ModelParams, L: int, c_star: float) -> None:
     """Raise PreconditionFailed unless alpha and theta0 both pass their
     Diophantine certificates at (L, c_star)."""
-    failed = [c.kind for c in (
-        check_alpha_dc(params.alpha, L, c_star),
-        check_theta_dc(params.theta0, params.alpha, L, c_star)) if not c.passed]
+    failed = [c.kind for c in diophantine_certificates(params, L, c_star)
+              if not c.passed]
     if failed:
         raise PreconditionFailed(f"Diophantine certificates failed at "
                                  f"(L={L}, c_star={c_star:.3e}): {failed}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpwave import cli
+from qpwave import cli, spectrum
 
 
 def run(args):
@@ -282,6 +282,27 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "(7,)" in err and "L = 5" in err
         assert not (workdir / "certificates.txt").exists()
+
+    @pytest.mark.parametrize("c_star, distinct", [(0.008, 1), (1e-3, 2)])
+    def test_each_diophantine_check_runs_once(self, workdir, monkeypatch,
+                                              c_star, distinct):
+        # c* = 0.008 = 5^-3 is also the admissible-m scan's c* = L^(-3d);
+        # c* = 1e-3 gives the scan a second (L, c*)
+        calls = []
+        for name in ("check_alpha_dc", "check_theta_dc"):
+            def counted(*args, fn=getattr(spectrum, name), name=name):
+                calls.append((name, *args[-2:]))
+                return fn(*args)
+
+            monkeypatch.setattr(spectrum, name, counted)
+        spectrum._diophantine.cache_clear()
+        cfg = cli.default_config()
+        cfg["cert"]["c_star"] = c_star
+        path = workdir / "cfg.txt"
+        cli.write_file(path, cfg)
+        assert run(["certify", "--config", path, "--out", workdir]) == \
+            cli.EXIT_OK
+        assert len(calls) == len(set(calls)) == 2 * distinct
 
     def test_rerun_byte_identical(self, workdir):
         run(["certify", "--preset", "small-coupling", "--out", workdir])

@@ -397,7 +397,10 @@ class TestLdeScan:
         family = elementary_region_family(M, b, d, p.resonant_set())
         union = linop._entries_on(
             RegionIndex(linop._family_vectors(family), b), 0.0, om, p, kernel)
-        at, region, rows, cols, vals = linop._restrict_family(union, family)
+        edge = union.vals != 0.0
+        at, region, rows, cols, e = linop._restrict_family(
+            union.index, union.rows[edge], union.cols[edge], family)
+        vals = union.vals[edge][e]
         assert (np.diff(region) >= 0).all() and \
             (region[rows] == region[cols]).all()
         offset = 0
@@ -417,6 +420,29 @@ class TestLdeScan:
             dense[1][want.rows, want.cols] += want.vals
             assert dense[0].tobytes() == dense[1].tobytes()
             offset += n
+
+    @pytest.mark.parametrize("max_regions", [linop.MAX_FAMILY_REGIONS, 6, 3])
+    def test_regions_without_rigid_eigenvalues_or_far_pairs(self,
+                                                            max_regions):
+        # b = 2, d = 1, M = 4: regions 2 and 5 hold coupled blocks only, so
+        # their runs of rigid eigenvalues are empty, in the middle of the
+        # family or (3 regions) at its end; many others have no rigid far pair
+        p = golden_params(b=2, d=1, eps=0.05, delta=0.05)
+        om = tuple(float(w) for w in omega0(p))
+        kernel = linearize(initial_field(p), p.p)
+        report = lde_scan(4, p, om, kernel, num_sigma=41,
+                          max_regions=max_regions)
+        family = linop._region_family(4, 2, 1, p.resonant_set(), max_regions)
+        (plan,) = family.plans.values()
+        n_zeta, n_pair = np.diff(plan.zeta_cut), np.diff(plan.pair_cut)
+        assert np.flatnonzero(n_zeta == 0).tolist() == \
+            [r for r in (2, 5) if r < max_regions]
+        assert ((n_pair == 0) & (n_zeta > 0)).any()
+        want = reference_block_scan(4, p, om, kernel, report.sigma_grid,
+                                    max_regions=max_regions)
+        for name, ref in zip(("bad_flags", "worst_norm",
+                              "worst_decay_margin"), want):
+            assert getattr(report, name).tobytes() == ref.tobytes(), name
 
     def test_nonpositive_derived_gamma_prime_is_refused(self, monkeypatch):
         # gamma - M^-0.2 = 0.3 - 8^-0.2 < 0: refused before the family is
@@ -507,6 +533,13 @@ class TestGeometryMemo:
                                                  idx._distinct.values())]
             kept += [a for pattern in idx._pairs.values() for a in pattern]
             assert len(kept) > 2 and not any(a.flags.writeable for a in kept)
+        plans = linop._region_family(6, 1, 1, p.resonant_set(),
+                                     linop.MAX_FAMILY_REGIONS).plans
+        kept = [a for plan in plans.values()
+                for part in (plan, *plan.stacks, *plan.coupled)
+                for a in part if isinstance(a, np.ndarray)]
+        assert len(plans) == 1 and len(kept) > 20
+        assert not any(a.flags.writeable for a in kept)
 
     @pytest.mark.parametrize("b, d, M", [(1, 1, 8), (2, 1, 4), (1, 2, 4)])
     def test_scan_is_bitwise_the_same_with_a_cold_and_a_warm_memo(self, b, d,
@@ -527,6 +560,82 @@ class TestGeometryMemo:
         for name in ("bad_flags", "worst_norm", "worst_decay_margin"):
             assert getattr(warm, name).tobytes() == \
                 getattr(cold, name).tobytes(), name
+
+    @pytest.mark.parametrize("b, d, M", [(1, 1, 8), (2, 1, 4), (1, 2, 4)])
+    def test_plans_are_kept_per_pattern_and_bitwise_those_of_a_cold_memo(
+            self, b, d, M):
+        # (theta0, m, amplitude, eps, delta, thresholds): the second draw
+        # changes only values and reuses the first's plan; the uncoupled,
+        # Laplacian-only (every block rigid) and rho3 = 1 scans each need
+        # their own, and the coupled scans between them take no stale one
+        draws = [(0.6, 2.7, 1.0, 0.05, 0.05, Thresholds()),
+                 (0.2, 2.2, 1.7, 0.05, 0.05, Thresholds()),
+                 (0.6, 2.7, 1.0, 0.0, 0.0, Thresholds()),
+                 (0.4, 2.4, 1.3, 0.05, 0.05, Thresholds()),
+                 (0.6, 2.7, 1.0, 0.3, 0.0, Thresholds()),
+                 (0.2, 2.2, 1.7, 0.05, 0.05, Thresholds()),
+                 (0.6, 2.7, 1.0, 0.05, 0.05, Thresholds(rho3=1.0))]
+
+        def scan(theta0, m, amplitude, eps, delta, thresholds):
+            p = dataclasses.replace(
+                golden_params(b=b, d=d, eps=eps, delta=delta,
+                              amplitudes=(amplitude,) * b),
+                theta0=theta0, m=m)
+            om = tuple(float(w) for w in omega0(p))
+            kernel = linearize(initial_field(p), p.p) if delta else None
+            return lde_scan(M, p, om, kernel, num_sigma=21,
+                            thresholds=thresholds)
+
+        family = linop._region_family(M, b, d, golden_params(
+            b=b, d=d).resonant_set(), linop.MAX_FAMILY_REGIONS)
+        warm, kept = [], []
+        for draw in draws:
+            warm.append(scan(*draw))
+            kept.append(list(family.plans.values()))
+        # (at b = 2 the kernel's support, and so the plan, may move with the
+        # values of the later coupled draws)
+        ids = [{id(plan) for plan in k} for k in kept]
+        assert len(ids[0]) == 1 and ids[1] == ids[0] and len(ids[2]) == 2
+        assert len(ids[4]) > len(ids[3]) and len(ids[6]) > len(ids[5])
+        for draw, got in zip(draws, warm):
+            linop._region_family.cache_clear()
+            cold = scan(*draw)
+            for name in ("bad_flags", "worst_norm", "worst_decay_margin"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(cold, name).tobytes(), name
+
+    def test_a_new_partition_by_k_omega_gets_its_own_plan(self):
+        # the same pattern at omega = 0: every site has k.omega = 0, so the
+        # coupled blocks turn rigid
+        p = golden_params(eps=0.05, delta=0.05)
+        kernel = linearize(initial_field(p), p.p)
+        lde_scan(6, p, tuple(float(w) for w in omega0(p)), kernel,
+                 num_sigma=21)
+        warm = lde_scan(6, p, (0.0,), kernel, num_sigma=21)
+        plans = linop._region_family(6, 1, 1, p.resonant_set(),
+                                     linop.MAX_FAMILY_REGIONS).plans
+        assert sorted(len(plan.coupled) for plan in plans.values()) == [0, 1]
+        linop._region_family.cache_clear()
+        cold = lde_scan(6, p, (0.0,), kernel, num_sigma=21)
+        for name in ("bad_flags", "worst_norm", "worst_decay_margin"):
+            assert getattr(warm, name).tobytes() == \
+                getattr(cold, name).tobytes(), name
+
+    def test_plans_past_the_limit_are_rebuilt(self, monkeypatch):
+        monkeypatch.setattr(linop, "FAMILY_MEMO", 1)
+        reports = []
+        for coupling in (0.05, 0.0, 0.05, 0.0):
+            p = golden_params(eps=coupling, delta=coupling)
+            om = tuple(float(w) for w in omega0(p))
+            kernel = linearize(initial_field(p), p.p) if coupling else None
+            reports.append(lde_scan(6, p, om, kernel, num_sigma=21))
+            family = linop._region_family(6, 1, 1, p.resonant_set(),
+                                          linop.MAX_FAMILY_REGIONS)
+            assert len(family.plans) == 1
+        for a, z in zip(reports[:2], reports[2:]):
+            assert a.worst_norm.tobytes() == z.worst_norm.tobytes()
+            assert a.worst_decay_margin.tobytes() == \
+                z.worst_decay_margin.tobytes()
 
     def test_four_and_five_argument_calls_share_the_family(self):
         p = golden_params()
@@ -552,14 +661,14 @@ class TestGeometryMemo:
         p = golden_params(eps=0.05, delta=0.05)
         om = tuple(float(w) for w in omega0(p))
         kernel = linearize(initial_field(p), p.p)
-        inv = np.linalg.inv
         seen = []
+        # the scan solves for the far-pair columns; the reference inverts
+        for name in ("inv", "solve"):
+            def recorded(a, *args, fn=getattr(np.linalg, name)):
+                seen.extend(m.tobytes() for m in a)
+                return fn(a, *args)
 
-        def recorded(a):
-            seen.extend(m.tobytes() for m in a)
-            return inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", recorded)
+            monkeypatch.setattr(np.linalg, name, recorded)
         report = lde_scan(8, p, om, kernel, num_sigma=41)
         ours = len(seen)
         reference_block_scan(8, p, om, kernel, report.sigma_grid)

@@ -13,7 +13,7 @@ from qpwave import (Certificate, FrequencyCombination, InvalidAnchors,
                     omega0, separation_certificate, sublevel_measure,
                     transversality_margin, wronskian_det, wronskian_matrix)
 from qpwave.spectrum import (SURVIVOR_SLACK, _mu_array, _survivors,
-                             derivative_prefactor)
+                             derivative_prefactor, diophantine_certificates)
 
 from certify_reference import (reference_admissible_m_scan,
                                reference_cluster_scan,
@@ -152,6 +152,17 @@ class TestSeparation:
         p = simple_params(alpha=0.0, theta0=0.3)
         with pytest.raises(PreconditionFailed):
             separation_certificate(p, L=5, c_star=1e-2)
+
+    def test_refused_again_with_its_certificates_kept(self):
+        p = simple_params(alpha=0.0, theta0=0.3)
+        alpha_cert, _ = diophantine_certificates(p, 5, 1e-2)
+        assert not alpha_cert.passed
+        for _ in range(2):
+            with pytest.raises(PreconditionFailed):
+                separation_certificate(p, L=5, c_star=1e-2)
+            with pytest.raises(PreconditionFailed):
+                admissible_m_scan(p, L=5, eta=1e-3,
+                                  m_grid=np.linspace(2, 3, 11))
 
     def test_certified_point_beats_thresholds(self):
         p = golden_params()
