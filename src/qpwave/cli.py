@@ -417,6 +417,8 @@ def run_solve(cfg: dict, out_dir: Path, force: bool = False,
         "config": cfg,
         "stages": [{
             "stage": r.stage, "box_radius": r.box_radius,
+            "box_sites": r.box_sites,
+            "condition_estimate": r.condition_estimate,
             "delta_q_norm": r.delta_q_norm, "residual_norm": r.residual_norm,
             "omega": list(r.omega), "decay_rate": r.decay_rate,
             "wall_time": r.wall_time,

@@ -284,6 +284,8 @@ def pde_residual(q: CoefficientField, omega: Sequence[float],
             space.add(tuple(x + o for x, o in zip(n, off)))
     space = sorted(space)
     potential = {n: math.cos(params.phase(n)) + params.m for n in space}
+    neighbours = {n: [tuple(x + o for x, o in zip(n, off)) for off in offs]
+                  for n in space}
     worst = 0.0
     for t in t_samples:
         u = {}
@@ -298,8 +300,7 @@ def pde_residual(q: CoefficientField, omega: Sequence[float],
             u[n] = un
             utt[n] = uttn
         for n in space:
-            lap = sum(u.get(tuple(x + o for x, o in zip(n, off)), 0.0)
-                      for off in offs)
+            lap = sum(u.get(m, 0.0) for m in neighbours[n])
             val = (utt[n] + params.eps * lap + potential[n] * u[n]
                    + params.delta * u[n] ** (params.p + 1))
             worst = max(worst, abs(val))

@@ -11,7 +11,11 @@ resonant set, then one Q-step on the new q; the resonant rows of F then
 vanish identically, and the next stage's P-step reuses that F.  The
 increment is even in k, so G is applied by one sparse LU of the operator
 folded onto the even subspace, and a Higham-Tisseur 1-norm condition
-estimate of that folded operator decides whether the box is resonant.
+estimate of that folded operator decides whether the box is resonant.  A
+stage box's geometry (its row index, canonical rows and folded columns,
+with the assembly pattern its index keeps) depends only on (box, b, d,
+resonant set) and is kept for the last STAGE_MEMO keys; every P-step
+recomputes the operator's values.
 
 A plain dense Newton iteration on the full truncated system (q off the
 resonant set plus omega, no staging) serves as an independent validation
@@ -28,11 +32,12 @@ failed or stale certificate bundle before it calls ``solve``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,10 +46,11 @@ import scipy.sparse.linalg as spla
 from .errors import (FrequencyCollapse, InsufficientData, NonConvergence,
                      OracleDiverged, OracleTooLarge, PreconditionFailed,
                      ResonantBox, check_ranges)
-from .lattice import (ResonantSet, Site, box_vectors, cube, index_map,
-                      neighbor_offsets, sites_of, unit_k)
-from .linop import DECAY_FIT_FLOOR, MAX_CONDITION, OperatorSpec, assemble_sparse
-from .linop import assemble  # noqa: F401  perfbench/spans.py wraps solver.assemble
+from .lattice import (RegionIndex, ResonantSet, Site, _read_only, box_vectors,
+                      cube, index_map, neighbor_offsets, sites_of, unit_k)
+from .linop import DECAY_FIT_FLOOR, MAX_CONDITION, _entries_on
+# perfbench/spans.py wraps solver.assemble and solver.assemble_sparse
+from .linop import assemble, assemble_sparse  # noqa: F401
 from .nonlin import (DROP, CoefficientField, convolve_power, linearize,
                      pde_residual, residual, weighted_tail_norm)
 from .spectrum import ModelParams, mu, omega0
@@ -54,6 +60,7 @@ DECAY_FIT_MIN_POINTS = 10  # off-resonant points a decay fit needs
 ORACLE_TOLERANCE = 1e-13   # oracle stops once |F| falls below this
 ORACLE_MAX_ITERATIONS = 50
 ORACLE_CHUNK = 1 << 14     # kernel (row, column) pairs the oracle gathers at once
+STAGE_MEMO = 8             # stage plans _stage_sites keeps, least recently used out
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One row of the stage trace; stage 0 (the seed) has no box, so its
+    box_sites is 0 and its condition_estimate None."""
+
     stage: int
     box_radius: int
+    box_sites: int
+    condition_estimate: Optional[float]
     delta_q_norm: float
     residual_norm: float
     omega: tuple
@@ -159,49 +171,65 @@ class PStepResult:
     condition_estimate: float
 
 
-def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
-           params: ModelParams, stage: int, config: SolverConfig) -> PStepResult:
-    """One smoothed Newton increment on the stage box minus the resonant set.
+class _StagePlan(NamedTuple):
+    """A stage box minus the resonant set, read-only: its index, the
+    canonical rows (k = 0 or first nonzero entry of k positive) and each
+    row's folded column (the place in ``canon`` of its mirror class's
+    canonical row, so a canonical row's own place)."""
+    index: RegionIndex
+    canon: np.ndarray
+    fold: np.ndarray
 
-    ``f`` is F(q) at ``omega`` (``residual(q, omega, params)``).
-    Solves (D(0) + eps*Delta + delta*T_q) dq = -F(q) restricted to the cube
-    of radius M^stage with the resonant set removed.  The cube, the resonant
-    set and the operator are symmetric under k -> -k and F(q) is even, so
-    the increment is even: the system is folded onto the canonical rows
-    (k = 0 or first nonzero entry of k positive), each column added onto
-    its mirror's, and factored by sparse LU.  Raises ResonantBox when the
-    folded operator is singular or its 1-norm condition estimate exceeds
-    MAX_CONDITION, and RegionTooLarge (before any site is built) when the
-    cube holds more than lattice.MATERIALIZE_LIMIT candidate sites.
-    """
-    box = config.M ** stage
-    resonant = params.resonant_set()
-    for site in resonant.members:
-        if site.norm > box:
-            raise ResonantBox(
-                f"stage box radius {box} does not contain the resonant set",
-                stage=stage, site=site)
-    region = cube(box, params.b, params.d, excluded=resonant)
-    idx = index_map(region)
-    n_sites = idx.size
 
-    kernel = linearize(q, params.p) if params.delta != 0.0 else None
-    spec = OperatorSpec(region, 0.0, tuple(float(w) for w in omega), params, kernel)
+@functools.lru_cache(maxsize=STAGE_MEMO)
+def _stage_sites(box: int, b: int, d: int, resonant: ResonantSet) -> _StagePlan:
+    """The plan of the cube of radius ``box`` minus ``resonant``, memoized;
+    RegionTooLarge is raised again by every call."""
+    idx = index_map(cube(box, b, d, excluded=resonant))
+    k = idx.vectors[:, :b]
+    canonical = _canonical_mask(k)
+    column = np.cumsum(canonical) - 1      # a canonical row's place in canon
+    rep = idx.lookup(np.hstack([np.where(canonical[:, None], k, -k),
+                                idx.vectors[:, b:]]))
+    return _StagePlan(idx, *_read_only(np.flatnonzero(canonical), column[rep]))
 
-    f_vecs, f_vals = f.as_arrays()
-    at = idx.lookup(f_vecs)
-    rhs = np.zeros(n_sites)
-    rhs[at[at >= 0]] = -f_vals[at >= 0]
 
-    vecs, b = idx.vectors, params.b
-    k = vecs[:, :b]
-    lead = k[np.arange(n_sites), (k != 0).argmax(axis=1)]
-    canon = np.flatnonzero(lead >= 0)
-    column = np.cumsum(lead >= 0) - 1      # a canonical row's place in canon
-    rep = idx.lookup(np.hstack([np.where(lead[:, None] < 0, -k, k), vecs[:, b:]]))
-    fold = sp.csr_matrix((np.ones(n_sites), (np.arange(n_sites), column[rep])),
-                         shape=(n_sites, canon.size))
-    matrix = (assemble_sparse(spec)[canon] @ fold).tocsc()
+def _folded_operator(plan: _StagePlan, omega: Sequence[float],
+                     params: ModelParams,
+                     kernel: Optional[CoefficientField]) -> sp.csc_matrix:
+    """H(0) on the plan's canonical rows, each column added onto its
+    mirror's, as CSC with sorted rows.  At most two entries (a column and
+    its mirror) meet in one place, so the sum is the one a product with a
+    0/1 fold matrix forms; a place that sums to zero is dropped, as that
+    product drops it."""
+    ent = _entries_on(plan.index, 0.0, omega, params, kernel)
+    # a canonical row is its own mirror class's canonical row
+    keep = plan.canon[plan.fold[ent.rows]] == ent.rows
+    on_diag = np.arange(plan.canon.size)
+    matrix = sp.csc_matrix(
+        (np.concatenate([ent.diag[plan.canon], ent.vals[keep]]),
+         (np.concatenate([on_diag, plan.fold[ent.rows[keep]]]),
+          np.concatenate([on_diag, plan.fold[ent.cols[keep]]]))),
+        shape=(plan.canon.size,) * 2)
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _one_norm(matrix: sp.csc_matrix):
+    """The largest column sum of |entries|, each column summed in stored
+    order from 0 as ``scipy.sparse.linalg.norm(matrix, 1)`` sums it."""
+    size = matrix.shape[1]
+    column = np.repeat(np.arange(size), np.diff(matrix.indptr))
+    return np.bincount(column, weights=np.abs(matrix.data),
+                       minlength=size).max()
+
+
+def _gated_solve(matrix: sp.csc_matrix, rhs: np.ndarray, stage: int, box: int,
+                 site_of: Callable[[int], Site]) -> tuple:
+    """x with ``matrix`` x = ``rhs`` by sparse LU, and the 1-norm condition
+    estimate of ``matrix``.  Raises ResonantBox when the LU fails or the
+    estimate exceeds MAX_CONDITION; a finite estimate's site is ``site_of``
+    the row where the estimate's witness column peaks."""
     try:
         lu = spla.splu(matrix)
     except RuntimeError as exc:
@@ -221,20 +249,58 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
     try:
         with np.errstate(over="raise", invalid="raise"):
             inv_norm, w = spla.onenormest(inverse, t=1, compute_w=True)
-            cond = float(inv_norm * spla.norm(matrix, 1))
+            cond = float(inv_norm * _one_norm(matrix))
     except FloatingPointError:
         cond = math.inf
     cond = cond if np.isfinite(cond) else math.inf
     if cond > MAX_CONDITION:
-        worst = (idx.site_of(int(canon[np.argmax(np.abs(w))]))
-                 if cond < math.inf else None)
+        worst = site_of(int(np.argmax(np.abs(w)))) if cond < math.inf else None
         raise ResonantBox(
             f"stage {stage} box (radius {box}) is resonant: condition estimate "
             f"{cond:.3e} at site {worst}", stage=stage, condition=cond,
             site=worst)
+    return lu.solve(rhs), cond
 
-    increment = _increment(vecs[canon], lu.solve(rhs[canon]), b, params.d)
-    return PStepResult(increment=increment, box_radius=box, box_sites=n_sites,
+
+def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
+           params: ModelParams, stage: int, config: SolverConfig) -> PStepResult:
+    """One smoothed Newton increment on the stage box minus the resonant set.
+
+    ``f`` is F(q) at ``omega`` (``residual(q, omega, params)``).
+    Solves (D(0) + eps*Delta + delta*T_q) dq = -F(q) restricted to the cube
+    of radius M^stage with the resonant set removed.  The cube, the resonant
+    set and the operator are symmetric under k -> -k and F(q) is even, so
+    the increment is even: the system is folded onto the canonical rows,
+    each column added onto its mirror's, and factored by sparse LU.  The
+    pieces are the stage plan (``_stage_sites``, kept per box, b, d and
+    resonant set), the folded operator (``_folded_operator``) and the gated
+    solve (``_gated_solve``).  Raises ResonantBox when the box does not hold
+    the resonant set, or the folded operator is singular or its 1-norm
+    condition estimate exceeds MAX_CONDITION, and RegionTooLarge (before
+    any site is built) when the cube holds more than
+    lattice.MATERIALIZE_LIMIT candidate sites.
+    """
+    box = config.M ** stage
+    resonant = params.resonant_set()
+    for site in resonant.members:
+        if site.norm > box:
+            raise ResonantBox(
+                f"stage box radius {box} does not contain the resonant set",
+                stage=stage, site=site)
+    plan = _stage_sites(box, params.b, params.d, resonant)
+    idx, canon = plan.index, plan.canon
+
+    kernel = linearize(q, params.p) if params.delta != 0.0 else None
+    matrix = _folded_operator(plan, omega, params, kernel)
+
+    f_vecs, f_vals = f.as_arrays()
+    at = idx.lookup(f_vecs)
+    rhs = np.zeros(idx.size)
+    rhs[at[at >= 0]] = -f_vals[at >= 0]
+    x, cond = _gated_solve(matrix, rhs[canon], stage, box,
+                           lambda row: idx.site_of(int(canon[row])))
+    increment = _increment(idx.vectors[canon], x, params.b, params.d)
+    return PStepResult(increment=increment, box_radius=box, box_sites=idx.size,
                        condition_estimate=cond)
 
 
@@ -246,12 +312,17 @@ def _increment(vectors: np.ndarray, x: np.ndarray, b: int,
     array first, so only the survivors become sites.  The constructor keeps
     what it is given in order and applies the same cut to the same values,
     so the field, dict order included, is the one built from every row.  A
-    non-finite value is kept, for ``from_entries`` to refuse.
+    non-finite value is refused with the ValueError ``from_entries`` raises.
     """
-    mag = np.abs(x)
-    keep = ((x != 0.0) & (mag >= DROP * mag.max(initial=0.0))) | ~np.isfinite(x)
-    return CoefficientField.from_entries(
-        zip(sites_of(vectors[keep], b), x[keep].tolist()), b, d)
+    mag, bad = np.abs(x), ~np.isfinite(x)
+    keep = ((x != 0.0) & (mag >= DROP * mag.max(initial=0.0))) | bad
+    sites, values = sites_of(vectors[keep], b), x[keep].tolist()
+    if bad.any():
+        first = int(np.argmax(bad[keep]))
+        k, n = sites[first]
+        raise ValueError(f"non-finite value {values[first]} at ({k}, {n})")
+    # the rows are canonical and distinct, so the sites are a field's keys
+    return CoefficientField(dict(zip(sites, values)), b, d, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +332,22 @@ def _increment(vectors: np.ndarray, x: np.ndarray, b: int,
 def decay_fit(q: CoefficientField,
               resonant_set: Optional[ResonantSet] = None) -> float:
     """Least-squares decay rate of log|q| against |k| + |n| off the resonant
-    set; the rate is the negated slope."""
-    xs, ys = [], []
-    for k, n, v in q.full_items():
-        if resonant_set is not None and Site(k, n) in resonant_set:
-            continue
-        if abs(v) <= DECAY_FIT_FLOOR:
-            continue
-        xs.append(float(Site(k, n).order))
-        ys.append(math.log(abs(v)))
-    if len(xs) < DECAY_FIT_MIN_POINTS or len(set(xs)) < 2:
+    set; the rate is the negated slope.  The points are the field's full
+    lattice entries in the order of ``full_items``."""
+    vecs, vals = q.as_arrays()
+    order = (np.abs(vecs[:, :q.b]).max(axis=1, initial=0)
+             + np.abs(vecs[:, q.b:]).max(axis=1, initial=0))
+    keep = ~(np.abs(vals) <= DECAY_FIT_FLOOR)     # NaN is kept
+    if resonant_set is not None:
+        for site in resonant_set.members:
+            keep &= (vecs != site.vector).any(axis=1)
+    xs = order[keep].astype(float)
+    if len(xs) < DECAY_FIT_MIN_POINTS or len(np.unique(xs)) < 2:
         raise InsufficientData(
             f"decay fit needs >= {DECAY_FIT_MIN_POINTS} off-resonant points "
             f"above {DECAY_FIT_FLOOR:g}, got {len(xs)}")
-    return float(-np.polyfit(np.array(xs), np.array(ys), 1)[0])
+    ys = np.array([math.log(a) for a in np.abs(vals[keep]).tolist()])
+    return float(-np.polyfit(xs, ys, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +399,8 @@ def solve(params: ModelParams, config: SolverConfig = SolverConfig()) -> Solutio
     omega = omega0(params)
     f = residual(q, omega, params)
     norm = f.l2_norm()
-    records = [StageRecord(stage=0, box_radius=0, delta_q_norm=0.0,
+    records = [StageRecord(stage=0, box_radius=0, box_sites=0,
+                           condition_estimate=None, delta_q_norm=0.0,
                            residual_norm=norm,
                            omega=tuple(float(w) for w in omega),
                            decay_rate=None, wall_time=0.0)]
@@ -349,6 +423,8 @@ def solve(params: ModelParams, config: SolverConfig = SolverConfig()) -> Solutio
                 rate = None
             records.append(StageRecord(
                 stage=stage, box_radius=step.box_radius,
+                box_sites=step.box_sites,
+                condition_estimate=step.condition_estimate,
                 delta_q_norm=step.increment.l2_norm(),
                 residual_norm=norm,
                 omega=tuple(float(w) for w in omega),

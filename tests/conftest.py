@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qpwave import ModelParams, linop
+from qpwave import ModelParams, linop, solver
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 PRESET_THETA0 = 0.3455
@@ -11,10 +11,11 @@ GOLDEN_ALPHA = (GOLDEN_MEAN, math.sqrt(2.0) - 1.0)
 
 
 @pytest.fixture(autouse=True)
-def cold_family_memo():
-    """Every test starts with no region family kept, so that no outcome
-    depends on which tests ran before it."""
+def cold_memos():
+    """Every test starts with no region family and no stage plan kept, so
+    that no outcome depends on which tests ran before it."""
     linop._region_family.cache_clear()
+    solver._stage_sites.cache_clear()
 
 
 def golden_params(b=1, d=1, p=2, m=2.5, eps=1e-3, delta=1e-3, anchors=None,

@@ -13,6 +13,7 @@ from qpwave.nonlin import DROP
 from qpwave.solver import initial_field
 
 from conftest import golden_params
+from quality_reference import reference_pde_residual
 
 
 def field_from(entries, b=1, d=1):
@@ -302,6 +303,19 @@ class TestPdeResidual:
                     v * math.cos(float(np.dot(k, om)) * t)
             oracle = max(oracle, max(abs(x) for x in per_site.values()))
         assert direct == pytest.approx(oracle, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
+           data=st.data())
+    def test_is_bitwise_the_per_sample_neighbour_loop(self, shape, data):
+        b, d = shape
+        q = data.draw(sparse_fields(b=b, d=d, max_entries=8))
+        params = golden_params(b=b, d=d, eps=data.draw(st.floats(0.0, 0.1)),
+                               delta=data.draw(st.floats(0.0, 0.1)))
+        om = omega0(params)
+        ts = np.linspace(0.0, data.draw(st.floats(0.0, 10.0)), 7)
+        assert np.float64(pde_residual(q, om, params, ts)).tobytes() == \
+            np.float64(reference_pde_residual(q, om, params, ts)).tobytes()
 
 
 class TestWeightedTail:

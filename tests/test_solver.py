@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +16,13 @@ from qpwave import (CoefficientField, FrequencyCollapse, InsufficientData,
                     p_step, q_step, residual, solve, solver,
                     weighted_tail_norm)
 from qpwave.lattice import box_vectors, canonical_k
+from qpwave.nonlin import linearize
 
 from conftest import golden_params
 from oracle_reference import reference_jacobian
-from pstep_reference import all_rows_increment, reference_increment
+from pstep_reference import (all_rows_increment, fold_and_gate,
+                             reference_increment)
+from quality_reference import reference_decay_fit
 
 
 class TestInitialField:
@@ -247,6 +252,159 @@ class TestPStep:
         monkeypatch.setattr(lattice, "box_vectors", unbuilt)
         with pytest.raises(RegionTooLarge, match="materialization limit"):
             p_step(q0, om, f, p, 4, SolverConfig(M=3))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestPStepPieces:
+    @pytest.mark.parametrize("dense, cond", [
+        ([[1.0, 3.0], [0.0, 1.0]], 16.0),    # (1 + 3) * (1 + 3)
+        ([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]], 8.0),
+    ])
+    def test_gated_solve_on_a_known_condition(self, dense, cond):
+        a = np.array(dense)
+        rhs = np.arange(1.0, len(a) + 1.0)
+        x, got = solver._gated_solve(sp.csc_matrix(a), rhs, 1, 3,
+                                     lambda row: row)
+        assert got == cond
+        assert np.allclose(a @ x, rhs, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dense", [
+        [[1.0, 0.0], [0.0, 0.0]],           # an empty column: the LU fails
+        [[1e300, 0.0], [0.0, 1e-300]],      # the estimate overflows
+    ])
+    def test_gated_solve_refuses_a_singular_or_overflowing_matrix(self, dense):
+        with pytest.raises(ResonantBox) as err:
+            solver._gated_solve(sp.csc_matrix(np.array(dense)), np.ones(2), 2,
+                                9, lambda row: row)
+        assert err.value.stage == 2
+        assert err.value.condition == math.inf
+        assert err.value.site is None
+
+    def test_gated_solve_names_the_witness_row(self):
+        with pytest.raises(ResonantBox) as err:
+            solver._gated_solve(sp.csc_matrix(np.diag([1.0, 1.0, 2.0**-50])),
+                                np.ones(3), 1, 3, lambda row: ("row", row))
+        assert err.value.condition == 2.0**50
+        assert err.value.site == ("row", 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1),
+                                  (2, 2, 1)]),
+           eps=st.floats(0.0, 5e-3), delta=st.floats(0.0, 5e-3),
+           theta0=st.floats(0.0, 1.0),
+           amplitudes=st.lists(st.floats(1.0, 2.0), min_size=2, max_size=2))
+    @example(shape=(2, 1, 1), eps=1.1e-308, delta=3.3e-284, theta0=0.0,
+             amplitudes=[1.0, 1.0])
+    @example(shape=(1, 1, 1), eps=0.0, delta=0.0, theta0=0.25,
+             amplitudes=[1.0, 1.0])
+    def test_p_step_is_bitwise_the_one_piece_fold_and_gate(
+            self, shape, eps, delta, theta0, amplitudes):
+        b, d, stage = shape
+        p = dataclasses.replace(
+            golden_params(b=b, d=d, eps=eps, delta=delta,
+                          amplitudes=tuple(amplitudes[:b])), theta0=theta0)
+        config = SolverConfig(M=3)
+        q = initial_field(p)
+        om = q_step(q, p)
+        if stage == 2:
+            try:
+                q = q.add(p_step(q, om, residual(q, om, p), p, 1,
+                                 config).increment)
+            except ResonantBox:
+                assume(False)
+            om = q_step(q, p)
+        f = residual(q, om, p)
+
+        def outcome(step):
+            try:
+                return step(q, om, f, p, stage, config)
+            except ResonantBox as exc:
+                return str(exc), exc.stage, _bits(exc.condition), exc.site
+
+        ref, got = outcome(fold_and_gate), outcome(p_step)
+        if isinstance(ref[0], str):
+            assert got == ref
+            return
+        matrix, cond, increment = ref
+        kernel = linearize(q, p.p) if p.delta != 0.0 else None
+        plan = solver._stage_sites(config.M ** stage, b, d, p.resonant_set())
+        folded = solver._folded_operator(plan, om, p, kernel)
+        assert folded.shape == matrix.shape
+        assert np.array_equal(folded.indptr, matrix.indptr)
+        assert np.array_equal(folded.indices, matrix.indices)
+        assert folded.data.tobytes() == matrix.data.tobytes()
+        assert _bits(got.condition_estimate) == _bits(cond)
+        assert list(got.increment.canonical_items()) == \
+            list(increment.canonical_items())
+        assert got.box_sites == plan.index.size
+
+    def test_stage_plan_is_kept_and_equals_a_cold_one(self, params):
+        key = (9, params.b, params.d, params.resonant_set())
+        warm = solver._stage_sites(*key)
+        assert solver._stage_sites(*key) is warm
+        solver._stage_sites.cache_clear()
+        cold = solver._stage_sites(*key)
+        assert cold is not warm
+        for a, b in zip((warm.index.vectors, warm.canon, warm.fold),
+                        (cold.index.vectors, cold.canon, cold.fold)):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+
+    def test_stage_plan_memo_is_bounded(self):
+        for radius in range(1, solver.STAGE_MEMO + 3):
+            p = golden_params(anchors=((0,),))
+            solver._stage_sites(radius, 1, 1, p.resonant_set())
+        info = solver._stage_sites.cache_info()
+        assert info.maxsize == solver.STAGE_MEMO
+        assert info.currsize == solver.STAGE_MEMO
+
+    def test_refusals_are_raised_on_every_call(self, params):
+        # stage 7 at M = 3, b = d = 1: 4375^2 candidate sites; the box check
+        # needs a resonant anchor outside the stage-1 box
+        far = golden_params(anchors=((30,),))
+        q0, om = initial_field(far), omega0(far)
+        for _ in range(2):
+            with pytest.raises(RegionTooLarge):
+                solver._stage_sites(3 ** 7, 1, 1, params.resonant_set())
+            with pytest.raises(ResonantBox):
+                p_step(q0, om, residual(q0, om, far), far, 1,
+                       SolverConfig(M=3))
+        assert solver._stage_sites.cache_info().currsize == 0
+
+
+class TestDecayFit:
+    @settings(max_examples=80, deadline=None)
+    @given(b=st.integers(1, 2), d=st.integers(1, 2), data=st.data())
+    def test_decay_fit_is_bitwise_the_site_loop(self, b, d, data):
+        # values from 1e-40 up, NaN and inf included, and the resonant
+        # anchors among the sites half of the time
+        p = golden_params(b=b, d=d)
+        n_entries = data.draw(st.integers(0, 40))
+        entries = {}
+        for _ in range(n_entries):
+            k = tuple(data.draw(st.integers(-4, 4)) for _ in range(b))
+            n = tuple(data.draw(st.integers(-4, 4)) for _ in range(d))
+            entries[(canonical_k(k), n)] = data.draw(st.one_of(
+                st.builds(lambda m, e: m * 10.0 ** -e, st.floats(-2.0, 2.0),
+                          st.integers(0, 40)),
+                st.sampled_from([math.nan, math.inf])))
+        if data.draw(st.booleans()):
+            entries.update(initial_field(p)._data)
+        q = CoefficientField(entries, b, d, _trusted=True)
+        resonant = data.draw(st.sampled_from([None, p.resonant_set()]))
+
+        def outcome(fit):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    return _bits(fit(q, resonant))
+            except (InsufficientData, ValueError, np.linalg.LinAlgError) as exc:
+                return type(exc).__name__, str(exc)
+
+        assert outcome(decay_fit) == outcome(reference_decay_fit)
 
 
 class TestSolve:
