@@ -45,7 +45,6 @@ import numpy as np
 from . import linop, solver, spectrum
 from .errors import (NonConvergence, QPWaveError, ResonantBox, cast_number,
                      check_ranges)
-from .lattice import Site
 from .nonlin import CoefficientField, linearize
 from .spectrum import Certificate, ModelParams
 from .solver import SolverConfig
@@ -108,7 +107,12 @@ def _format_value(value, indent: int) -> str:
         flat = all(not isinstance(x, (dict, list, tuple, np.ndarray))
                    for x in items)
         if flat:
-            return "[" + ", ".join(_format_value(x, indent) for x in items) + "]"
+            # plain floats and ints, most of what is written, are formatted
+            # in place; any other item takes the branches above
+            return "[" + ", ".join([
+                (format(x, ".17g") if math.isfinite(x) else "null")
+                if type(x) is float else str(x) if type(x) is int
+                else _format_value(x, indent) for x in items]) + "]"
         rows = [f"{pad}  {_format_value(x, indent + 2)}" for x in items]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -289,7 +293,8 @@ def certificate_dict(cert: Certificate) -> dict:
 def field_records(field: CoefficientField) -> list:
     rows = []
     for k, n, v in field.full_items():
-        rows.append((Site(k, n).order, k + n, list(k), list(n), float(v)))
+        order = max(map(abs, k), default=0) + max(map(abs, n), default=0)
+        rows.append((order, k + n, list(k), list(n), float(v)))
     rows.sort(key=lambda r: (r[0], r[1]))
     return [[r[2], r[3], r[4]] for r in rows]
 

@@ -14,19 +14,45 @@ exponentially, so such entries are round-off, not solution; sums,
 increments, convolutions and residuals all shed them the same way.
 Fields are immutable, so each convolution power is computed once per field
 and kept on it for later calls of :func:`convolve_power`.
+
+The convolution engine works on an integer code of k:
+c(k) = sum_j k_j * K_RADIX^(b-1-j), a Python int.  The code is linear,
+c(ka + kb) = c(ka) + c(kb), so a convolution adds two ints where it would
+build a k tuple, and with every |k_j| below K_RADIX / 2 it keeps the
+lexicographic order, so k is canonical iff c(k) >= 0 and c(-k) = -c(k).
+A field keeps its coded form, grouped by space site, next to its powers.
+The engine forms every product and every sum in the order of the tuple
+form it replaced (``tests/field_reference.py``), so each value is the same
+bit for bit and each field has the same dict order; only the keys that
+survive the drop rule are decoded back to k tuples.  The residual reads
+the canonical keys of q and of its power as they are stored.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import ResonantSet, Site, canonical_k, neighbor_offsets
+from .lattice import ResonantSet, canonical_k, neighbor_offsets
 from .spectrum import ModelParams, mu
 
 DROP = 1e-16  # a field keeps entries with |v| >= DROP * its sup norm, v != 0
+K_RADIX = 1 << 32  # the base of the integer k code
+# a coded field's entries of k are below K_LIMIT in magnitude, so those of
+# a sum of two stay below K_RADIX / 2 and every code formed decodes uniquely
+K_LIMIT = K_RADIX >> 2
+
+
+def _cut(values) -> float:
+    """DROP times the largest finite magnitude among ``values``.  max skips
+    a NaN unless it comes first, so a finite max is the finite one's."""
+    top = max(map(abs, values), default=0.0)
+    if not top < math.inf:
+        top = max((a for a in map(abs, values) if a < math.inf), default=0.0)
+    return DROP * top
 
 
 class CoefficientField:
@@ -37,27 +63,24 @@ class CoefficientField:
     constructor is the one place that decides what a field keeps: no zero
     and no entry below ``DROP * sup_norm()``.  Nothing writes to ``_data``
     after construction; ``_powers`` keeps the convolution powers already
-    computed from it (order -> field).
+    computed from it (order -> field) and ``_coded`` its coded form
+    (:meth:`coded_by_site`).
     """
 
-    __slots__ = ("_data", "b", "d", "_powers")
+    __slots__ = ("_data", "b", "d", "_powers", "_coded")
 
     def __init__(self, data: Dict[tuple, float], b: int, d: int, _trusted=False):
         if not _trusted:
             raise TypeError("use CoefficientField.from_entries")
         # the cut comes from the finite magnitudes, and a non-finite value is
-        # always kept, for the callers' finite checks to see.  max skips a
-        # NaN unless it comes first, so a finite max is the finite one's
-        top = max(map(abs, data.values()), default=0.0)
-        if not top < math.inf:
-            top = max((a for a in map(abs, data.values()) if a < math.inf),
-                      default=0.0)
-        cut = DROP * top
+        # always kept, for the callers' finite checks to see
+        cut = _cut(data.values())
         self._data = {key: v for key, v in data.items()
                       if v != 0.0 and not abs(v) < cut}
         self.b = b
         self.d = d
         self._powers: Dict[int, "CoefficientField"] = {}
+        self._coded: Optional[Dict[tuple, List[Tuple[int, float]]]] = None
 
     @classmethod
     def from_entries(cls, entries: Iterable, b: int, d: int) -> "CoefficientField":
@@ -158,6 +181,29 @@ class CoefficientField:
         return CoefficientField({k: factor * v for k, v in self._data.items()},
                                 self.b, self.d, _trusted=True)
 
+    def coded_by_site(self) -> Dict[tuple, List[Tuple[int, float]]]:
+        """The field grouped by space site: n -> [(c(k), value), ...] over
+        both k and -k, in the order of :meth:`full_items`; built on the
+        first call and kept.  Raises ValueError when an entry of k reaches
+        K_LIMIT in magnitude."""
+        if self._coded is None:
+            top = max(map(abs, chain.from_iterable(k for k, _n in self._data)),
+                      default=0)
+            if top >= K_LIMIT:
+                raise ValueError(f"k entries reach {top}; the k code needs "
+                                 f"them below {K_LIMIT}")
+            out: Dict[tuple, List[Tuple[int, float]]] = {}
+            for (k, n), v in self._data.items():
+                c = k_code(k)
+                row = out.get(n)
+                if row is None:
+                    row = out[n] = []
+                row.append((c, v))
+                if c:
+                    row.append((-c, v))
+            self._coded = out
+        return self._coded
+
     def by_site(self) -> Dict[tuple, Dict[tuple, float]]:
         """The field grouped by space site: n -> {k: value} over both k and
         -k, in the order of :meth:`full_items`."""
@@ -170,25 +216,54 @@ class CoefficientField:
         return out
 
 
+def k_code(k: Sequence[int]) -> int:
+    """c(k) = sum_j k_j * K_RADIX^(b-1-j)."""
+    c = 0
+    for x in k:
+        c = c * K_RADIX + x
+    return c
+
+
+def k_of_code(c: int, b: int) -> tuple:
+    """The k of length b with c(k) = c and every |k_j| < K_RADIX / 2."""
+    out = []
+    for _ in range(b):
+        x = (c + K_RADIX // 2) % K_RADIX - K_RADIX // 2
+        out.append(x)
+        c = (c - x) // K_RADIX
+    return tuple(reversed(out))
+
+
 def convolve(qa: CoefficientField, qb: CoefficientField) -> CoefficientField:
     """Per-site k-convolution of two fields (symmetry is preserved); the one
-    convolution engine, powers included.  Each field is grouped by space
-    site once."""
+    convolution engine, powers included.  Each site's products are summed
+    over the coded forms, in the order of the sites of qa and then of the
+    (ka, kb) pairs; the drop rule is applied to the canonical sums before
+    their keys are decoded."""
     if (qa.b, qa.d) != (qb.b, qb.d):
         raise ValueError("fields live on different lattices")
-    slices_b = qb.by_site()
-    data: Dict[tuple, float] = {}
-    for n, a in qa.by_site().items():
-        b = slices_b.get(n)
+    rows_b = qb.coded_by_site()
+    sums = []
+    for n, a in qa.coded_by_site().items():
+        b = rows_b.get(n)
         if b is None:
             continue
-        acc: Dict[tuple, float] = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                acc[key] = acc.get(key, 0.0) + va * vb
-        for k, v in acc.items():
-            if k == canonical_k(k):
+        acc: Dict[int, float] = {}
+        get = acc.get
+        for ca, va in a:
+            for cb, vb in b:
+                key = ca + cb
+                acc[key] = get(key, 0.0) + va * vb
+        sums.append((n, [(c, v) for c, v in acc.items() if c >= 0]))
+    cut = _cut([v for _n, row in sums for _c, v in row])
+    data: Dict[tuple, float] = {}
+    k_of: Dict[int, tuple] = {}
+    for n, row in sums:
+        for c, v in row:
+            if v != 0.0 and not abs(v) < cut:
+                k = k_of.get(c)
+                if k is None:
+                    k = k_of[c] = k_of_code(c, qa.b)
                 data[(k, n)] = v
     return CoefficientField(data, qa.b, qa.d, _trusted=True)
 
@@ -218,30 +293,36 @@ def residual(q: CoefficientField, omega: Sequence[float],
     of the supports of the three terms and is symmetric in k by construction.
     """
     omega = np.asarray(omega, dtype=float)
+    eps, delta = params.eps, params.delta
+    # the keys of q and of its power are canonical, and a neighbour shift
+    # moves n alone, so every key is added as it comes
     data: Dict[tuple, float] = {}
-
-    def add(k: tuple, n: tuple, v: float):
-        key = (canonical_k(k), n)
-        data[key] = data.get(key, 0.0) + v
-
-    mu_cache: Dict[tuple, float] = {}
-
-    def mu2(n: tuple) -> float:
-        if n not in mu_cache:
-            mu_cache[n] = mu(n, params) ** 2
-        return mu_cache[n]
-
+    get = data.get
+    kw_of: Dict[tuple, float] = {}
+    mu2_of: Dict[tuple, float] = {}
+    neighbours_of: Dict[tuple, list] = {}
     offs = neighbor_offsets(q.d)
-    for (k, n), v in q._data.items():
-        kw = float(np.dot(k, omega))
-        add(k, n, (mu2(n) - kw * kw) * v)
-        if params.eps != 0.0:
-            for off in offs:
-                add(k, tuple(x + o for x, o in zip(n, off)), params.eps * v)
-    if params.delta != 0.0:
+    for key, v in q._data.items():
+        k, n = key
+        kw = kw_of.get(k)
+        if kw is None:
+            kw = kw_of[k] = float(np.dot(k, omega))
+        mu2 = mu2_of.get(n)
+        if mu2 is None:
+            mu2 = mu2_of[n] = mu(n, params) ** 2
+        data[key] = get(key, 0.0) + (mu2 - kw * kw) * v
+        if eps != 0.0:
+            neighbours = neighbours_of.get(n)
+            if neighbours is None:
+                neighbours = neighbours_of[n] = [
+                    tuple(x + o for x, o in zip(n, off)) for off in offs]
+            for m in neighbours:
+                key = (k, m)
+                data[key] = get(key, 0.0) + eps * v
+    if delta != 0.0:
         power = convolve_power(q, params.p + 1)
-        for (k, n), v in power._data.items():
-            add(k, n, params.delta * v)
+        for key, v in power._data.items():
+            data[key] = get(key, 0.0) + delta * v
 
     return CoefficientField(data, q.b, q.d, _trusted=True)
 
@@ -311,9 +392,17 @@ def weighted_tail_norm(q: CoefficientField, rho: float, S: ResonantSet) -> float
     """sum over lattice sites outside S of |q(k,n)| * exp(rho(|k|+|n|))."""
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
+    # S is closed under k -> -k, so (k, n) and (-k, n) are in or out
+    # together, and both add the same term, in the order of full_items
+    members = S.members
     out = 0.0
-    for k, n, v in q.full_items():
-        if Site(k, n) in S:
+    for key, v in q._data.items():
+        if key in members:
             continue
-        out += abs(v) * math.exp(rho * Site(k, n).order)
+        k, n = key
+        term = abs(v) * math.exp(rho * (max(map(abs, k), default=0)
+                                        + max(map(abs, n), default=0)))
+        out += term
+        if any(k):
+            out += term
     return out

@@ -14,8 +14,9 @@ folded onto the even subspace, and a Higham-Tisseur 1-norm condition
 estimate of that folded operator decides whether the box is resonant.  A
 stage box's geometry (its row index, canonical rows and folded columns,
 with the assembly pattern its index keeps) depends only on (box, b, d,
-resonant set) and is kept for the last STAGE_MEMO keys; every P-step
-recomputes the operator's values.
+resonant set) and is kept for the last STAGE_MEMO keys whose cube holds at
+most STAGE_MEMO_SITES candidate sites; every P-step recomputes the
+operator's values.
 
 A plain dense Newton iteration on the full truncated system (q off the
 resonant set plus omega, no staging) serves as an independent validation
@@ -61,6 +62,9 @@ ORACLE_TOLERANCE = 1e-13   # oracle stops once |F| falls below this
 ORACLE_MAX_ITERATIONS = 50
 ORACLE_CHUNK = 1 << 14     # kernel (row, column) pairs the oracle gathers at once
 STAGE_MEMO = 8             # stage plans _stage_sites keeps, least recently used out
+# p_step keeps the plan of a stage cube of at most this many candidate sites
+# (a plan holds about 200 bytes per site); larger plans are rebuilt per call
+STAGE_MEMO_SITES = 10_000
 
 
 @dataclass(frozen=True)
@@ -181,10 +185,8 @@ class _StagePlan(NamedTuple):
     fold: np.ndarray
 
 
-@functools.lru_cache(maxsize=STAGE_MEMO)
-def _stage_sites(box: int, b: int, d: int, resonant: ResonantSet) -> _StagePlan:
-    """The plan of the cube of radius ``box`` minus ``resonant``, memoized;
-    RegionTooLarge is raised again by every call."""
+def _stage_plan(box: int, b: int, d: int, resonant: ResonantSet) -> _StagePlan:
+    """The plan of the cube of radius ``box`` minus ``resonant``."""
     idx = index_map(cube(box, b, d, excluded=resonant))
     k = idx.vectors[:, :b]
     canonical = _canonical_mask(k)
@@ -192,6 +194,10 @@ def _stage_sites(box: int, b: int, d: int, resonant: ResonantSet) -> _StagePlan:
     rep = idx.lookup(np.hstack([np.where(canonical[:, None], k, -k),
                                 idx.vectors[:, b:]]))
     return _StagePlan(idx, *_read_only(np.flatnonzero(canonical), column[rep]))
+
+
+# the memoized plans; RegionTooLarge is raised again by every call
+_stage_sites = functools.lru_cache(maxsize=STAGE_MEMO)(_stage_plan)
 
 
 def _folded_operator(plan: _StagePlan, omega: Sequence[float],
@@ -273,7 +279,8 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
     the increment is even: the system is folded onto the canonical rows,
     each column added onto its mirror's, and factored by sparse LU.  The
     pieces are the stage plan (``_stage_sites``, kept per box, b, d and
-    resonant set), the folded operator (``_folded_operator``) and the gated
+    resonant set when the cube holds at most STAGE_MEMO_SITES candidate
+    sites), the folded operator (``_folded_operator``) and the gated
     solve (``_gated_solve``).  Raises ResonantBox when the box does not hold
     the resonant set, or the folded operator is singular or its 1-norm
     condition estimate exceeds MAX_CONDITION, and RegionTooLarge (before
@@ -287,7 +294,9 @@ def p_step(q: CoefficientField, omega: Sequence[float], f: CoefficientField,
             raise ResonantBox(
                 f"stage box radius {box} does not contain the resonant set",
                 stage=stage, site=site)
-    plan = _stage_sites(box, params.b, params.d, resonant)
+    kept = (2 * box + 1) ** (params.b + params.d) <= STAGE_MEMO_SITES
+    plan = (_stage_sites if kept else _stage_plan)(box, params.b, params.d,
+                                                   resonant)
     idx, canon = plan.index, plan.canon
 
     kernel = linearize(q, params.p) if params.delta != 0.0 else None
@@ -541,8 +550,8 @@ class _OracleSystem:
 
     def values(self, field: CoefficientField) -> np.ndarray:
         """A field's values at the rows' sites, in row order."""
-        stored = {(k, n): v for k, n, v in field.canonical_items()}
-        return np.array([stored.get(key, 0.0) for key in self.keys])
+        get = field._data.get
+        return np.array([get(key, 0.0) for key in self.keys])
 
     def jacobian(self, x: np.ndarray, q: CoefficientField) -> np.ndarray:
         """dF/d(q, omega) at x, where q is ``field(x)``."""
@@ -660,14 +669,15 @@ def compare_with_oracle(solution: Solution, oracle: OracleResult,
     overlap of their boxes."""
     if box is None:
         box = min(solution.q.support_bound(), oracle.q.support_bound())
+    # both fields store canonical keys; the max of the differences does not
+    # depend on the order of the keys
+    ours, theirs = solution.q._data, oracle.q._data
     worst = 0.0
-    keys = {(k, n) for field in (solution.q, oracle.q)
-            for k, n, _v in field.canonical_items()}
-    for k, n in keys:
-        if max((abs(x) for x in k + n), default=0) > box:
+    for key in ours.keys() | theirs.keys():
+        k, n = key
+        if max(map(abs, k + n), default=0) > box:
             continue
-        diff = abs(solution.q.get(k, n) - oracle.q.get(k, n))
-        worst = max(worst, diff)
+        worst = max(worst, abs(ours.get(key, 0.0) - theirs.get(key, 0.0)))
     omega_diff = float(np.abs(np.array(solution.omega) - np.array(oracle.omega)).max())
     return {"sup_discrepancy": worst, "omega_discrepancy": omega_diff,
             "overlap_box": box}

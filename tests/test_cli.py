@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpwave import cli, spectrum
+from qpwave import CoefficientField, cli, spectrum
+from qpwave.lattice import canonical_k
+
+from writer_reference import reference_dumps, reference_field_records
 
 
 def run(args):
@@ -77,11 +80,45 @@ _documents = st.recursive(
     max_leaves=20)
 
 
+# flat lists of plain floats and ints (the in-place path) mixed with other
+# scalars, inside nested dicts and lists
+_plain_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3,
+                     math.inf, -math.inf, math.nan, 1e300, 0.1]))
+_flat_items = st.one_of(_plain_floats, st.integers(-2**70, 2**70), _scalars)
+_flat_documents = st.recursive(
+    st.lists(_flat_items, max_size=6),
+    lambda inner: st.one_of(
+        st.lists(st.one_of(inner, _flat_items), max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_texts, st.one_of(inner, _flat_items), max_size=4)),
+    max_leaves=12)
+
+
 class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_flat_documents)
+    def test_dumps_is_bytewise_the_per_item_writer(self, doc):
+        assert cli.dumps(doc) == reference_dumps(doc)
+
     @settings(max_examples=200, deadline=None)
     @given(doc=_documents)
     def test_dumps_matches_the_isinstance_ladder(self, doc):
         assert cli.dumps(doc) == reference_format_value(doc, 0) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           data=st.data())
+    def test_field_records_are_the_site_ordered_rows(self, shape, data):
+        b, d = shape
+        entries = data.draw(st.dictionaries(
+            st.tuples(st.tuples(*[st.integers(-3, 3)] * b),
+                      st.tuples(*[st.integers(-3, 3)] * d)),
+            st.floats(-2.0, 2.0, allow_nan=False), max_size=8))
+        field = CoefficientField.from_entries(
+            {(canonical_k(k), n): v for (k, n), v in entries.items()}, b, d)
+        assert cli.field_records(field) == reference_field_records(field)
 
     def test_dumps_matches_on_edge_values(self):
         doc = {"é\"k": ["θ", 'q"', True, 1, False, 0],

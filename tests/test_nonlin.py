@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpwave import (CoefficientField, convolve, convolve_power,
+from qpwave import (CoefficientField, ModelParams, convolve, convolve_power,
                     evaluate_solution, linearize, omega0, pde_residual,
                     residual, weighted_tail_norm)
-from qpwave.nonlin import DROP
+from qpwave.lattice import ResonantSet, canonical_k
+from qpwave.nonlin import DROP, K_LIMIT, k_code, k_of_code
 from qpwave.solver import initial_field
 
 from conftest import golden_params
+from field_reference import (reference_convolve, reference_power,
+                             reference_residual, reference_weighted_tail_norm)
 from quality_reference import reference_pde_residual
 
 
@@ -96,6 +99,113 @@ class TestDropRule:
         assert list(kept) == [key for key in data if key != ((2,), (0,))]
         assert math.isnan(kept[((0,), (0,))]) and kept[((1,), (0,))] == 1.0
         assert kept[((3,), (0,))] == math.inf
+
+
+def assert_same_field(got, ref):
+    """Equal keys in the same order, and values equal bit for bit."""
+    assert list(got._data) == list(ref._data)
+    assert np.array(list(got._data.values())).tobytes() == \
+        np.array(list(ref._data.values())).tobytes()
+
+
+@st.composite
+def wide_fields(draw, b, d, sites=None, max_entries=10):
+    """A field on (b, d) whose space sites are drawn from ``sites`` (all of
+    [-2, 2]^d when None), empty sometimes.  Its magnitudes lie within 1e-20
+    of a top drawn from 1e-300 .. 1e3, so that most entries pass the drop
+    rule and some do not.  With probability 1/4 one entry is inf, -inf or
+    NaN (the constructor keeps it, as a sum that overflowed)."""
+    sites = sites or [tuple(n) for n in itertools.product(range(-2, 3),
+                                                          repeat=d)]
+    top = draw(st.floats(min_value=-280.0, max_value=3.0))
+    data = {}
+    for _ in range(draw(st.integers(0, max_entries))):
+        k = tuple(draw(st.integers(-4, 4)) for _ in range(b))
+        value = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** (
+            top - draw(st.floats(min_value=0.0, max_value=20.0)))
+        data[(canonical_k(k), draw(st.sampled_from(sites)))] = value
+    if data and draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(sorted(data)))
+        data[key] = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+    return CoefficientField(data, b, d, _trusted=True)
+
+
+_shapes = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
+class TestEngine:
+    """The coded engine against the dict loop of ``tests/field_reference``:
+    the same keys in the same order and the same value bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=_shapes, disjoint=st.booleans(), data=st.data())
+    def test_convolve_is_bitwise_the_dict_loop(self, shape, disjoint, data):
+        b, d = shape
+        origin, edge = (0,) * d, (2,) * d
+        qa = data.draw(wide_fields(b, d, [origin] if disjoint else None))
+        qb = data.draw(wide_fields(b, d, [edge] if disjoint else None))
+        assert_same_field(convolve(qa, qb), reference_convolve(qa, qb))
+        if disjoint:
+            assert len(convolve(qa, qb)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_shapes, order=st.integers(2, 4), data=st.data())
+    def test_powers_are_bitwise_the_dict_loop(self, shape, order, data):
+        b, d = shape
+        q = data.draw(wide_fields(b, d, max_entries=6))
+        assert_same_field(convolve_power(q, order), reference_power(q, order))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=_shapes, eps=st.sampled_from((0.0, 1e-3, 0.05)),
+           delta=st.sampled_from((0.0, 1e-3, 0.05)), p=st.sampled_from((2, 4)),
+           data=st.data())
+    def test_residual_is_bitwise_the_dict_loop(self, shape, eps, delta, p,
+                                               data):
+        b, d = shape
+        params = ModelParams(
+            b=b, d=d, p=p, m=2.5, eps=eps, delta=delta,
+            alpha=(0.6180339887498949, 0.41421356237309515, 0.7320508)[:d],
+            theta0=0.3455, anchors=tuple((l,) + (0,) * (d - 1)
+                                         for l in range(b)),
+            amplitudes=(1.0,) * b)
+        q = data.draw(wide_fields(b, d, max_entries=6))
+        omega = data.draw(st.lists(st.floats(0.5, 3.0), min_size=b,
+                                   max_size=b))
+        assert_same_field(residual(q, omega, params),
+                          reference_residual(q, omega, params))
+
+    def test_non_finite_values_are_kept_and_refused_as_before(self):
+        q = CoefficientField({((1,), (0,)): math.inf, ((2,), (0,)): -math.inf,
+                              ((0,), (0,)): 1.0}, 1, 1, _trusted=True)
+        square = convolve(q, q)
+        assert_same_field(square, reference_convolve(q, q))
+        # k = 1 sums inf * 1 and inf * -inf to NaN; k = 4 is inf: both kept
+        assert math.isnan(square.get((1,), (0,)))
+        assert square.get((4,), (0,)) == math.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            CoefficientField.from_entries(
+                [((k, n), v) for k, n, v in square.canonical_items()], 1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.integers(1, 3), data=st.data())
+    def test_k_code_is_linear_and_keeps_the_order(self, b, data):
+        entries = st.integers(-K_LIMIT + 1, K_LIMIT - 1)
+        ka, kb = (tuple(data.draw(entries) for _ in range(b))
+                  for _ in range(2))
+        assert k_code(tuple(x + y for x, y in zip(ka, kb))) == \
+            k_code(ka) + k_code(kb)
+        assert k_code(tuple(-x for x in ka)) == -k_code(ka)
+        assert (k_code(ka) >= 0) == (canonical_k(ka) == ka)
+        assert (k_code(ka) < k_code(kb)) == (ka < kb)
+        summed = tuple(x + y for x, y in zip(ka, kb))
+        assert k_of_code(k_code(summed), b) == summed
+
+    def test_k_entries_beyond_the_code_are_refused(self):
+        q = field_from({((K_LIMIT,), (0,)): 1.0})
+        with pytest.raises(ValueError, match="k code"):
+            convolve(q, q)
+        edge = field_from({((K_LIMIT - 1, 1 - K_LIMIT), (0,)): 1.0}, b=2)
+        assert_same_field(convolve(edge, edge), reference_convolve(edge, edge))
 
 
 class TestCoefficientField:
@@ -329,6 +439,18 @@ class TestWeightedTail:
         # both (2,3) and (-2,3) contribute
         expected = 2 * 0.25 * math.exp(0.1 * (2 + 3))
         assert weighted_tail_norm(q, 0.1, S) == pytest.approx(expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=_shapes, rho=st.floats(0.01, 2.0), data=st.data())
+    def test_is_bitwise_the_site_loop(self, shape, rho, data):
+        b, d = shape
+        q = data.draw(wide_fields(b, d))
+        # anchors on the field's support, so that some entries are skipped
+        anchors = tuple((l,) + (0,) * (d - 1) for l in range(b))
+        S = ResonantSet(anchors, b, d)
+        got = weighted_tail_norm(q, rho, S)
+        assert np.float64(got).tobytes() == \
+            np.float64(reference_weighted_tail_norm(q, rho, S)).tobytes()
 
     def test_rho_must_be_positive(self, params):
         with pytest.raises(ValueError):

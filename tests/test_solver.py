@@ -19,6 +19,7 @@ from qpwave.lattice import box_vectors, canonical_k
 from qpwave.nonlin import linearize
 
 from conftest import golden_params
+from field_reference import reference_compare, reference_oracle_values
 from oracle_reference import reference_jacobian
 from pstep_reference import (all_rows_increment, fold_and_gate,
                              reference_increment)
@@ -374,6 +375,24 @@ class TestPStepPieces:
                        SolverConfig(M=3))
         assert solver._stage_sites.cache_info().currsize == 0
 
+    def test_memo_keeps_no_plan_above_the_site_cap(self):
+        # stages 1-5 run on cubes of 7^2 .. 487^2 sites; only the three
+        # within STAGE_MEMO_SITES are kept
+        params = golden_params(eps=0.03, delta=0.03)
+        sol = solve(params, SolverConfig(M=3, r_max=8))
+        radii = [r.box_radius for r in sol.trace[1:]]
+        assert radii == [3, 9, 27, 81, 243]
+        small = [r for r in radii if (2 * r + 1) ** 2 <= solver.STAGE_MEMO_SITES]
+        assert small == [3, 9, 27]
+        info = solver._stage_sites.cache_info()
+        assert info.currsize == len(small) and info.misses == len(small)
+        for r in small:
+            plan = solver._stage_sites(r, 1, 1, params.resonant_set())
+            assert plan.index.size <= solver.STAGE_MEMO_SITES
+        # every kept plan was found, and nothing more was kept
+        assert solver._stage_sites.cache_info().hits == len(small)
+        assert solver._stage_sites.cache_info().currsize == len(small)
+
 
 class TestDecayFit:
     @settings(max_examples=80, deadline=None)
@@ -621,6 +640,46 @@ class TestOracleJacobian:
         entries.update(zip(system.keys[:n], x[:n].tolist()))
         checked = CoefficientField.from_entries(entries, b, d)
         assert list(q.canonical_items()) == list(checked.canonical_items())
+
+
+@st.composite
+def box_fields(draw, b, d, box):
+    """A field on canonical keys within and just beyond the cube of radius
+    ``box``; sometimes empty, sometimes with an inf or NaN entry."""
+    data = {}
+    for _ in range(draw(st.integers(0, 12))):
+        k = canonical_k(tuple(draw(st.integers(-box - 1, box + 1))
+                              for _ in range(b)))
+        n = tuple(draw(st.integers(-box - 1, box + 1)) for _ in range(d))
+        data[(k, n)] = draw(st.one_of(
+            st.floats(-1.0, 1.0, allow_nan=False),
+            st.sampled_from((math.inf, -math.inf, math.nan, 1e-300, -0.0))))
+    return CoefficientField(data, b, d, _trusted=True)
+
+
+class TestFieldReaders:
+    """The oracle's readers take values from the stored canonical dicts;
+    ``tests/field_reference`` has them through ``get`` per key."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]),
+           box=st.integers(1, 3), data=st.data())
+    def test_values_and_discrepancy_are_bitwise_the_get_loops(self, shape,
+                                                               box, data):
+        b, d = shape
+        system = solver._OracleSystem(golden_params(b=b, d=d), box)
+        q1, q2 = (data.draw(box_fields(b, d, box)) for _ in range(2))
+        assert system.values(q1).tobytes() == \
+            reference_oracle_values(system.keys, q1).tobytes()
+        sol = solver.Solution(q=q1, omega=(1.0,) * b, trace=(), quality={},
+                              converged=True)
+        oracle = solver.OracleResult(q=q2, omega=(1.5,) * b,
+                                     residual_history=(), final_residual=0.0,
+                                     iterations=0)
+        comp = compare_with_oracle(sol, oracle, box)
+        assert np.float64(comp["sup_discrepancy"]).tobytes() == \
+            np.float64(reference_compare(q1, q2, box)).tobytes()
+        assert comp["omega_discrepancy"] == 0.5 and comp["overlap_box"] == box
 
 
 class TestOracleEquivalence:
